@@ -11,10 +11,11 @@
 //!   double-checked with the master (probability `p`) or their pledge is
 //!   forwarded to the auditor — acceptance happens only after the pledge
 //!   is on its way, as Section 3.4 requires.
-//! * **Proof-verified** (static `GetRow`/`ReadFile` lookups) — the slave
-//!   answers with an O(log n) Merkle path against a master-signed state
-//!   digest; the client verifies it locally and accepts *finally*: no
-//!   pledge, no double-check, no auditor traffic.  A failed proof (a
+//! * **Proof-verified** (static `GetRow`/`ReadFile` lookups, `ScanRange`
+//!   scans and streamed `ReadFileRange`s) — the slave answers with a
+//!   Merkle proof against a master-signed state digest; the client
+//!   verifies it locally and accepts *finally*: no pledge, no
+//!   double-check, no auditor traffic.  A failed proof (a
 //!   lying or corrupt slave) first retries one *other* replica of the
 //!   same shard on the proof path; only a second failure falls the read
 //!   back to the pledged pipeline.
@@ -35,7 +36,7 @@ use crate::config::SystemConfig;
 use crate::messages::{CheckVerdict, Msg, RefuseReason, StateDigestStamp, WriteOutcome};
 use crate::pledge::Pledge;
 use crate::shard::ShardMap;
-use crate::verify::{self, ReadStrategy, RejectReason, VerifyEnv};
+use crate::verify::{self, ProvenAnswer, ReadStrategy, RejectReason, VerifyEnv};
 use crate::workload::Workload;
 use rand::Rng;
 use sdr_crypto::{CertRole, Certificate, Digest as _, PublicKey, Sha256};
@@ -84,6 +85,22 @@ struct ShardView {
     /// only by proof-path retries.
     spares: Vec<(NodeId, PublicKey)>,
     auditor: NodeId,
+}
+
+impl ShardView {
+    /// The verification environment for this shard's pipeline at `now`:
+    /// only the shard's own masters and slaves are trusted verification
+    /// keys, so stamps and pledges from another shard's subgroup never
+    /// verify here.
+    fn env(&self, now: SimTime, max_latency: SimDuration) -> VerifyEnv<'_> {
+        VerifyEnv {
+            masters: &self.masters,
+            slaves: &self.slaves,
+            spares: &self.spares,
+            now,
+            max_latency,
+        }
+    }
 }
 
 struct PendingRead {
@@ -388,7 +405,7 @@ impl ClientProcess {
     }
 
     fn schedule_next_write(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let gap = self.workload.write_gap(ctx.rng(), 1);
+        let gap = self.workload.write_gap(ctx.rng());
         self.write_timer_live = true;
         ctx.set_timer(gap, tag(K_NEXT_WRITE, 0));
     }
@@ -440,15 +457,6 @@ impl ClientProcess {
         {
             let ops = self.deferred_writes[shard].pop_front().expect("non-empty");
             self.send_write(ctx, shard, ops);
-        }
-    }
-
-    /// The message a proof-path read sends: file ranges stream
-    /// (header + chunks); everything else is a single proof reply.
-    fn proof_read_msg(req: u64, query: Query) -> Msg {
-        match query {
-            q @ Query::ReadFileRange { .. } => Msg::StreamRead { req_id: req, query: q },
-            q => Msg::ProofRead { req_id: req, query: q },
         }
     }
 
@@ -548,7 +556,13 @@ impl ClientProcess {
             let s = self
                 .proof_target(shard, req, 0)
                 .expect("checked non-empty above");
-            ctx.send(s, Self::proof_read_msg(req, query.clone()));
+            ctx.send(
+                s,
+                Msg::ProvenRead {
+                    req_id: req,
+                    query: query.clone(),
+                },
+            );
             awaiting.insert(s);
         } else {
             for (s, _) in &self.shards[shard].slaves {
@@ -625,7 +639,13 @@ impl ClientProcess {
             let s = self
                 .proof_target(shard, req, 0)
                 .expect("checked non-empty above");
-            ctx.send(s, Self::proof_read_msg(req, sub.clone()));
+            ctx.send(
+                s,
+                Msg::ProvenRead {
+                    req_id: req,
+                    query: sub.clone(),
+                },
+            );
             let mut awaiting = HashSet::new();
             awaiting.insert(s);
             scan.parts.push((lo, hi, None));
@@ -739,7 +759,7 @@ impl ClientProcess {
         } else if p.strategy == ReadStrategy::Proof {
             let (query, attempts) = (p.query.clone(), p.attempts);
             if let Some(s) = self.proof_target(shard, req, attempts) {
-                ctx.send(s, Self::proof_read_msg(req, query));
+                ctx.send(s, Msg::ProvenRead { req_id: req, query });
                 self.pending
                     .get_mut(&req)
                     .expect("present")
@@ -764,20 +784,6 @@ impl ClientProcess {
         ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
     }
 
-    /// The verification environment for one shard's pipeline at `now`:
-    /// only the owning shard's masters and slaves are trusted
-    /// verification keys, so stamps and pledges from another shard's
-    /// subgroup never verify here.
-    fn verify_env(&self, shard: usize, now: SimTime) -> VerifyEnv<'_> {
-        VerifyEnv {
-            masters: &self.shards[shard].masters,
-            slaves: &self.shards[shard].slaves,
-            spares: &self.shards[shard].spares,
-            now,
-            max_latency: self.my_max_latency,
-        }
-    }
-
     /// Records a rejection: the reason-specific metric plus the
     /// per-client staleness counter the experiments watch.
     fn note_rejection(&mut self, ctx: &mut Ctx<'_, Msg>, reason: RejectReason) {
@@ -797,22 +803,19 @@ impl ClientProcess {
     /// Freshness is deliberately not part of the statement: the caller
     /// re-checks it on every reply.
     fn check_stamp_cached(
-        &mut self,
+        stamp_cache: &mut LruByteCache<()>,
+        cfg: &SystemConfig,
         ctx: &mut Ctx<'_, Msg>,
-        shard: usize,
+        env: &VerifyEnv<'_>,
         stamp: &StateDigestStamp,
     ) -> Result<(), RejectReason> {
-        let mkey = {
-            let env = self.verify_env(shard, ctx.now());
-            env.master_key_of(stamp.master).copied()
-        };
-        let Some(mkey) = mkey else {
+        let Some(mkey) = env.master_key_of(stamp.master) else {
             return Err(RejectReason::BadStampSignature);
         };
-        if self.cfg.stamp_cache_entries == 0 {
+        if cfg.stamp_cache_entries == 0 {
             ctx.charge(ctx.costs().verify);
             return stamp
-                .verify(&mkey)
+                .verify(mkey)
                 .map_err(|_| RejectReason::BadStampSignature);
         }
         let key = Sha256::digest_parts(&[
@@ -820,19 +823,19 @@ impl ClientProcess {
             &mkey.encode(),
             &stamp.signing_bytes(),
         ]);
-        if self.stamp_cache.get(&key).is_some() {
+        if stamp_cache.get(&key).is_some() {
             ctx.charge(ctx.costs().cache_lookup);
             ctx.metrics().inc("client.stamp_cache_hit");
-            if self.cfg.cache_verify && stamp.verify(&mkey).is_err() {
+            if cfg.cache_verify && stamp.verify(mkey).is_err() {
                 ctx.metrics().inc("client.cache_divergence");
             }
             return Ok(());
         }
         ctx.metrics().inc("client.stamp_cache_miss");
         ctx.charge(ctx.costs().verify);
-        match stamp.verify(&mkey) {
+        match stamp.verify(mkey) {
             Ok(()) => {
-                self.stamp_cache.put(key, (), 1);
+                stamp_cache.put(key, (), 1);
                 Ok(())
             }
             Err(_) => Err(RejectReason::BadStampSignature),
@@ -890,7 +893,7 @@ impl ClientProcess {
         // One result hash plus two signature verifications.
         ctx.charge(ctx.costs().hash_cost(result.size()));
         ctx.charge(ctx.costs().verify * 2u64);
-        let env = self.verify_env(shard, ctx.now());
+        let env = self.shards[shard].env(ctx.now(), self.my_max_latency);
         match verify::verify_pledged_read(&env, slave, result, pledge) {
             Ok(()) => true,
             Err(reason) => {
@@ -898,6 +901,30 @@ impl ClientProcess {
                 false
             }
         }
+    }
+
+    /// Verifies one proven answer from `from` with
+    /// [`verify::verify_proven`], checking the stamp signature through
+    /// the stamp memo.  The O(log n) proof fold always runs and is
+    /// charged here — it is what ties *this* answer to the signed
+    /// digest; the signature is the memoized part, so a repeat read
+    /// under the same anchor pays a cache lookup instead of a signature
+    /// verification.
+    fn proven_verdict(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        shard: usize,
+        from: NodeId,
+        query: &Query,
+        answer: ProvenAnswer<'_>,
+        stamp: &StateDigestStamp,
+    ) -> Result<(), RejectReason> {
+        ctx.charge(ctx.costs().hash_cost(64) * (1 + answer.depth() as u64));
+        let env = self.shards[shard].env(ctx.now(), self.my_max_latency);
+        let (stamp_cache, cfg) = (&mut self.stamp_cache, &self.cfg);
+        verify::verify_proven(&env, from, query, answer, stamp, |env, stamp| {
+            Self::check_stamp_cached(stamp_cache, cfg, ctx, env, stamp)
+        })
     }
 
     /// Handles one proof-read reply: verify the digest stamp and the
@@ -923,21 +950,9 @@ impl ClientProcess {
             return; // Duplicate, unsolicited, or already fallen back.
         }
         let (shard, query) = (p.shard, p.query.clone());
-        // O(log n) path hashes: the fold always runs — it is what ties
-        // *this* result to the signed digest.  The stamp signature is
-        // the memoized part: a repeat read under the same anchor pays a
-        // cache lookup instead of a signature verification.
-        ctx.charge(ctx.costs().hash_cost(64) * (1 + proof.depth() as u64));
         ctx.charge(ctx.costs().hash_cost(result.size()));
-        let verdict = if !self.verify_env(shard, ctx.now()).knows_slave(from) {
-            Err(RejectReason::UnknownSlave)
-        } else {
-            self.check_stamp_cached(ctx, shard, &stamp).and_then(|()| {
-                let env = self.verify_env(shard, ctx.now());
-                verify::verify_proof_read_stampless(&env, &query, &result, &proof, &stamp)
-            })
-        };
-        match verdict {
+        let answer = ProvenAnswer::Result(&result, &proof);
+        match self.proven_verdict(ctx, shard, from, &query, answer, &stamp) {
             Ok(()) => {
                 let p = self.pending.remove(&req).expect("present");
                 self.acceptances.push((
@@ -1009,7 +1024,7 @@ impl ClientProcess {
                 let query = p.query.clone();
                 self.counters.proof_retries += 1;
                 ctx.metrics().inc("read.proof_retry");
-                ctx.send(s, Self::proof_read_msg(req, query));
+                ctx.send(s, Msg::ProvenRead { req_id: req, query });
                 ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
             }
             None => {
@@ -1050,18 +1065,8 @@ impl ClientProcess {
             return; // Duplicate, unsolicited, or already fallen back.
         }
         let (shard, query) = (p.shard, p.query.clone());
-        // O(log n) header fold always runs; the stamp signature check
-        // is memoized, exactly as on the point-proof path.
-        ctx.charge(ctx.costs().hash_cost(64) * (1 + proof.depth() as u64));
-        let verdict = if !self.verify_env(shard, ctx.now()).knows_slave(from) {
-            Err(RejectReason::UnknownSlave)
-        } else {
-            self.check_stamp_cached(ctx, shard, &stamp).and_then(|()| {
-                let env = self.verify_env(shard, ctx.now());
-                verify::verify_stream_header_stampless(&env, &query, &proof, &stamp)
-            })
-        };
-        if let Err(reason) = verdict {
+        let answer = ProvenAnswer::Header(&proof);
+        if let Err(reason) = self.proven_verdict(ctx, shard, from, &query, answer, &stamp) {
             self.reject_proof_path(ctx, req, from, reason);
             return;
         }
@@ -1571,13 +1576,7 @@ impl Process<Msg> for ClientProcess {
                     }
                 }
             }
-            Msg::ProofReadReply {
-                query,
-                result,
-                proof,
-                digest_stamp,
-            }
-            | Msg::RangeReadReply {
+            Msg::ProvenReply {
                 query,
                 result,
                 proof,

@@ -102,17 +102,18 @@ pub struct SystemConfig {
     /// Number of slaves each client reads from (1 = basic protocol;
     /// >1 = the Section 4 replicated-read variant).
     pub read_quorum: usize,
-    /// Whether static point reads (`GetRow`/`ReadFile`) take the
-    /// authenticated proof path: the slave answers with an O(log n)
-    /// Merkle path against a master-signed state digest, the client
-    /// verifies deterministically, and the auditor never sees the read.
-    /// When off, every read goes through pledge + audit.
+    /// Whether static reads take the authenticated proof path: point
+    /// reads (`GetRow`/`ReadFile`), key scans (`ScanRange`) and streamed
+    /// file ranges (`ReadFileRange`).  The slave answers with a Merkle
+    /// proof against a master-signed state digest, the client verifies
+    /// deterministically, and the auditor never sees the read.  When
+    /// off, every read goes through pledge + audit.
     pub proof_reads: bool,
     /// Byte budget of each slave's hot-read proof cache: assembled
-    /// `ProofReadReply` payloads and `StreamProof` headers memoized per
-    /// `(anchor stamp, query)` and wiped whenever the replica state or
-    /// anchor changes.  `0` disables the cache (every read rebuilds its
-    /// proof, the pre-cache pipeline).
+    /// `ProvenReply` payloads and `StreamProof` headers memoized per
+    /// anchor stamp and query (chunk window for streams), and wiped
+    /// whenever the replica state or anchor changes.  `0` disables the
+    /// cache (every read rebuilds its proof, the pre-cache pipeline).
     pub proof_cache_bytes: usize,
     /// Entries in each client's stamp-verification cache: accepted
     /// `StateDigestStamp` statements remembered by digest so repeat

@@ -362,64 +362,40 @@ pub enum Msg {
         /// Why.
         reason: RefuseReason,
     },
-    /// Client → slave: execute this static point read and prove the
-    /// answer against the signed state digest (no pledge needed).
-    ProofRead {
-        /// Client-chosen request id.
+    /// Client → slave: answer this query with a proof against the signed
+    /// state digest instead of a pledge.  Point reads, file reads and key
+    /// scans come back as one [`Msg::ProvenReply`]; a `ReadFileRange`
+    /// comes back as a [`Msg::StreamHeader`] plus [`Msg::StreamChunk`]s.
+    ProvenRead {
+        /// Client-chosen request id (echoed by refusals and streams).
         req_id: u64,
-        /// The query (must be `GetRow` or `ReadFile`).
+        /// The query (`GetRow`, `ReadFile`, `ScanRange` or
+        /// `ReadFileRange`; any other shape is refused).
         query: Query,
     },
-    /// Slave → client: result, Merkle path proof, and the master-signed
-    /// digest stamp the proof folds up to.
+    /// Slave → client: result, proof, and the master-signed digest stamp
+    /// the proof folds up to.  The proof is an O(log n) path for a point
+    /// read, or an O(log n + k) range proof for a scan that covers *and
+    /// completes* the rows (no row in the interval can be omitted).
     ///
     /// Content-addressed rather than request-addressed: the reply echoes
     /// the *query* instead of a per-request id, so one cached reply
-    /// allocation serves every concurrent reader of the same hot key
-    /// (the slave's proof cache re-sends the identical `Arc<Msg>`).
-    /// Clients match it to their oldest pending proof read for that
+    /// allocation serves every concurrent reader of the same hot key or
+    /// range (the slave's reply cache re-sends the identical `Arc<Msg>`).
+    /// Clients match it to their oldest pending proven read for that
     /// query — the pairing is deterministic because a client never has
     /// two distinguishable reads of the same query in flight.
-    ProofReadReply {
+    ProvenReply {
         /// The query this reply answers (echoed; boxed — see
         /// [`Msg::ReadResponse`] on why wide payloads stay indirect).
         query: Box<Query>,
-        /// The (claimed) query result.
+        /// The (claimed) query result; rows ascend by key for scans.
         result: QueryResult,
-        /// O(log n) path proof from the result to the digest (boxed —
-        /// see [`Msg::ReadResponse`] on why wide payloads stay indirect).
-        proof: Box<StateProof>,
-        /// Master-signed state digest the proof anchors in.
-        digest_stamp: StateDigestStamp,
-    },
-    /// Slave → client: a verified range scan — the rows in key order, an
-    /// O(log n + k) range proof covering *and completing* them (no row
-    /// in the scanned interval can be omitted), and the master-signed
-    /// digest stamp the proof folds up to.
-    ///
-    /// Content-addressed exactly like [`Msg::ProofReadReply`]: the reply
-    /// echoes the query, so one cached allocation serves every
-    /// concurrent scanner of the same hot range.
-    RangeReadReply {
-        /// The `ScanRange` query this reply answers (echoed; boxed — see
-        /// [`Msg::ReadResponse`] on why wide payloads stay indirect).
-        query: Box<Query>,
-        /// The (claimed) rows, ascending by key.
-        result: QueryResult,
-        /// Range proof from the rows to the digest (boxed — see
+        /// Proof from the result to the digest (boxed — see
         /// [`Msg::ReadResponse`]).
         proof: Box<StateProof>,
         /// Master-signed state digest the proof anchors in.
         digest_stamp: StateDigestStamp,
-    },
-    /// Client → slave: stream this file range chunk-by-chunk, with a
-    /// manifest proof header (the `ReadFileRange` analogue of
-    /// [`Msg::ProofRead`]).
-    StreamRead {
-        /// Client-chosen request id.
-        req_id: u64,
-        /// The query (must be `ReadFileRange`).
-        query: Query,
     },
     /// Slave → client: the stream header — a Merkle path from the file's
     /// chunk manifest to the signed digest.  Chunks follow as
@@ -543,12 +519,10 @@ impl Payload for Msg {
             Msg::ReadRequest { query, .. } => 16 + query.encode().len(),
             Msg::ReadResponse { result, pledge, .. } => 16 + result.size() + pledge.wire_len(),
             Msg::ReadRefused { .. } => 16,
-            Msg::ProofRead { query, .. } => 16 + query.encode().len(),
-            Msg::ProofReadReply { query, result, proof, .. }
-            | Msg::RangeReadReply { query, result, proof, .. } => {
+            Msg::ProvenRead { query, .. } => 16 + query.encode().len(),
+            Msg::ProvenReply { query, result, proof, .. } => {
                 8 + query.encode().len() + result.size() + proof.wire_len() + 128
             }
-            Msg::StreamRead { query, .. } => 16 + query.encode().len(),
             // Header proof plus the digest stamp (~128) and stream bounds.
             Msg::StreamHeader { proof, .. } => 24 + proof.wire_len() + 128,
             Msg::StreamChunk { data, .. } => 20 + data.len(),

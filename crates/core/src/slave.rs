@@ -22,8 +22,7 @@ use sdr_crypto::{Digest, Hash256, PublicKey, Sha256, Signer};
 use sdr_sim::{Ctx, NodeId, Payload, Process, SimTime};
 use sdr_store::fsview::GrepMatch;
 use sdr_store::{
-    execute, Database, Document, LruByteCache, Query, QueryResult, StateProof, StreamProof,
-    UpdateOp, Value,
+    execute, Database, Document, LruByteCache, Query, QueryResult, StreamProof, UpdateOp, Value,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -191,14 +190,21 @@ pub struct SlaveProcess {
     /// oracle described in DESIGN.md).
     lies_told: HashSet<Vec<u8>>,
     reads_served: u64,
-    /// Hot-read fast path: honest `ProofReadReply` payloads memoized per
-    /// `(anchor stamp, query)` as shared allocations, so a flash crowd
-    /// reading one hot key costs one proof build plus N pointer bumps.
-    /// Wiped wholesale whenever the anchor or the replica state changes.
-    reply_cache: LruByteCache<Arc<Msg>>,
-    /// Same for `StreamProof` headers, keyed by `(anchor stamp, path)`
-    /// (chunk payloads are per-request and stay uncached).
-    stream_proof_cache: LruByteCache<StreamProof>,
+    /// Hot-read fast path: honest proofs memoized per anchor stamp and
+    /// shape (see [`Self::cache_key`]), so a flash crowd reading one hot
+    /// key costs one proof build plus N pointer bumps.  Wiped wholesale
+    /// whenever the anchor or the replica state changes.
+    cache: LruByteCache<CachedProof>,
+}
+
+/// One entry of the slave's hot-read cache.
+#[derive(Clone)]
+enum CachedProof {
+    /// A whole [`Msg::ProvenReply`], re-sent as a shared allocation.
+    Reply(Arc<Msg>),
+    /// A stream header proof (chunk payloads are per-request and stay
+    /// uncached).
+    Header(Box<StreamProof>),
 }
 
 impl SlaveProcess {
@@ -226,8 +232,7 @@ impl SlaveProcess {
             dropped_up_to: 0,
             lies_told: HashSet::new(),
             reads_served: 0,
-            reply_cache: LruByteCache::new(budget),
-            stream_proof_cache: LruByteCache::new(budget),
+            cache: LruByteCache::new(budget),
         }
     }
 
@@ -261,58 +266,71 @@ impl SlaveProcess {
         self.excluded
     }
 
-    /// Bytes currently held by the hot-read caches (stats gauge).
+    /// Bytes currently held by the hot-read cache (stats gauge).
     pub fn cache_bytes(&self) -> u64 {
-        (self.reply_cache.bytes() + self.stream_proof_cache.bytes()) as u64
+        self.cache.bytes() as u64
     }
 
-    /// Cache key of a memoized proof reply: the anchor stamp's version,
-    /// timestamp, *and* digest plus the query encoding.  Version alone
-    /// would suffice given wholesale invalidation; the timestamp makes a
-    /// keep-alive refresh (same version, newer stamp) miss by
-    /// construction, and the digest is belt-and-braces against any
-    /// anchor/state divergence.
-    fn proof_reply_key(anchor: &StateDigestStamp, query: &Query) -> Hash256 {
-        Sha256::digest_parts(&[
-            b"sdr/proof-reply/v1",
-            &anchor.version.to_be_bytes(),
-            &anchor.timestamp.as_micros().to_be_bytes(),
+    /// Cache key of a memoized proof: the anchor stamp's version,
+    /// timestamp, *and* digest plus the proven shape — `b"reply"` and the
+    /// query encoding, or `b"stream"`, the chunk window and the path.
+    /// Version alone would suffice given wholesale invalidation; the
+    /// timestamp makes a keep-alive refresh (same version, newer stamp)
+    /// miss by construction, and the digest is belt-and-braces against
+    /// any anchor/state divergence.
+    fn cache_key(anchor: &StateDigestStamp, shape: &[&[u8]]) -> Hash256 {
+        let version = anchor.version.to_be_bytes();
+        let timestamp = anchor.timestamp.as_micros().to_be_bytes();
+        let mut parts: Vec<&[u8]> = vec![
+            b"sdr/proven-cache/v1",
+            &version,
+            &timestamp,
             anchor.digest.as_ref(),
-            &query.encode(),
-        ])
+        ];
+        parts.extend_from_slice(shape);
+        Sha256::digest_parts(&parts)
     }
 
-    /// Cache key of a memoized stream-proof header (same anchor binding
-    /// as [`Self::proof_reply_key`], path plus *chunk window* instead of
-    /// a query).  A slice header depends only on which chunk-table rows
-    /// the byte range overlaps, so keying on the window — not the raw
-    /// `(offset, len)` — lets every read landing in the same chunks
-    /// share one cached header.  `(u64::MAX, u64::MAX)` keys the
-    /// absent-file header.
-    fn stream_proof_key(anchor: &StateDigestStamp, path: &str, window: (u64, u64)) -> Hash256 {
-        Sha256::digest_parts(&[
-            b"sdr/stream-proof/v2",
-            &anchor.version.to_be_bytes(),
-            &anchor.timestamp.as_micros().to_be_bytes(),
-            anchor.digest.as_ref(),
-            &window.0.to_be_bytes(),
-            &window.1.to_be_bytes(),
-            path.as_bytes(),
-        ])
+    /// Probes the hot-read cache, charging one lookup; `None` on a miss
+    /// or when caching is off.
+    fn cache_get(&mut self, ctx: &mut Ctx<'_, Msg>, key: &Hash256) -> Option<CachedProof> {
+        if self.cfg.proof_cache_bytes == 0 {
+            return None;
+        }
+        ctx.charge(ctx.costs().cache_lookup);
+        let hit = self.cache.get(key).cloned();
+        match &hit {
+            Some(_) => ctx.metrics().inc("slave.proof_cache_hit"),
+            None => ctx.metrics().inc("slave.proof_cache_miss"),
+        }
+        hit
     }
 
-    /// Wipes both hot-read caches.  Called whenever the proof-read anchor
+    /// Memoizes a freshly built proof (no-op when caching is off).
+    fn cache_put(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        key: Hash256,
+        entry: CachedProof,
+        bytes: usize,
+    ) {
+        if self.cfg.proof_cache_bytes > 0 {
+            let evicted = self.cache.put(key, entry, bytes);
+            ctx.metrics().add("slave.proof_cache_evict", evicted);
+        }
+    }
+
+    /// Wipes the hot-read cache.  Called whenever the proof-read anchor
     /// moves (any newer digest stamp, including same-version keep-alive
     /// refreshes) *and* whenever the replica applies a write — the latter
     /// covers the gap where the database advances but the accompanying
     /// digest stamp is rejected, which would otherwise leave cached
     /// replies proving a state the replica no longer has.
     fn invalidate_caches(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if !self.reply_cache.is_empty() || !self.stream_proof_cache.is_empty() {
+        if !self.cache.is_empty() {
             ctx.metrics().inc("slave.proof_cache_invalidate");
         }
-        self.reply_cache.clear();
-        self.stream_proof_cache.clear();
+        self.cache.clear();
     }
 
     /// The proof-read anchor this replica currently serves under
@@ -321,14 +339,15 @@ impl SlaveProcess {
         self.latest_digest_stamp.as_ref()
     }
 
-    /// Test hook: plant an arbitrary payload in the proof-reply cache
-    /// under the current anchor — models a Byzantine slave poisoning its
-    /// own cache.  No-op while the slave has no anchor.
+    /// Test hook: plant an arbitrary payload in the reply cache under
+    /// the current anchor — models a Byzantine slave poisoning its own
+    /// cache.  No-op while the slave has no anchor.
     pub fn poison_reply_cache_for_test(&mut self, query: &Query, reply: Msg) {
-        if let Some(anchor) = self.latest_digest_stamp.clone() {
-            let key = Self::proof_reply_key(&anchor, query);
+        if let Some(anchor) = &self.latest_digest_stamp {
+            let key = Self::cache_key(anchor, &[b"reply", &query.encode()]);
             let bytes = reply.wire_len();
-            self.reply_cache.put(key, Arc::new(reply), bytes);
+            self.cache
+                .put(key, CachedProof::Reply(Arc::new(reply)), bytes);
         }
     }
 
@@ -509,9 +528,7 @@ impl SlaveProcess {
         let result_hash = ResultHash::of(&pledged_hash_src, self.cfg.pledge_hash);
         ctx.charge(ctx.costs().hash_cost(pledged_hash_src.size()));
         if lie {
-            ctx.metrics().inc("slave.lies");
-            self.lies_told
-                .insert(ResultHash::of(&shipped, self.cfg.pledge_hash).bytes().to_vec());
+            self.record_lie(ctx, &shipped);
         }
 
         let stamp = self.latest_stamp.clone().expect("fresh implies stamp");
@@ -543,13 +560,29 @@ impl SlaveProcess {
         );
     }
 
-    /// Serves a static point read with a Merkle path proof against the
-    /// freshest master-signed digest stamp — no pledge involved.
+    /// Serves a [`Msg::ProvenRead`] against the freshest master-signed
+    /// digest stamp — no pledge involved.
     ///
     /// Refuses (like a pledged read) when excluded, when no sufficiently
     /// fresh digest anchor exists, or when the query is not provable
-    /// (not a point read, or its table is missing).
-    fn serve_proof_read(
+    /// (not a point read, file read, scan or file range, or its table is
+    /// missing).  A `ReadFileRange` streams: one [`Msg::StreamHeader`]
+    /// carrying the manifest slice proof, then the overlapping chunks as
+    /// [`Msg::StreamChunk`]s.  Every other shape gets one content-addressed
+    /// [`Msg::ProvenReply`].
+    ///
+    /// Hot-read fast path: under one anchor the honest proof for a shape
+    /// is immutable, so the first build is memoized and every repeat
+    /// reader costs one cache probe.  RNG parity: execution and proving
+    /// draw no randomness, so the hit and miss paths consume identical
+    /// RNG streams (Refuser coin, lie coin) and a run's trace never
+    /// depends on cache contents.
+    ///
+    /// Liars corrupt what they ship, never the proof: forging a proof
+    /// against the signed digest would need a hash collision, so a lying
+    /// reply dies at the client's fold and a lying stream at exactly the
+    /// corrupted chunk.
+    fn serve_proven_read(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         client: NodeId,
@@ -565,15 +598,14 @@ impl SlaveProcess {
         }
         // The proof-read self-gate: serve only with an anchor the client
         // will still consider fresh.
-        let anchor_fresh = self
-            .latest_digest_stamp
-            .as_ref()
-            .is_some_and(|s| s.is_fresh(ctx.now(), self.cfg.max_latency));
-        if !anchor_fresh {
-            ctx.metrics().inc("slave.refused_stale");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        }
+        let anchor = match &self.latest_digest_stamp {
+            Some(s) if s.is_fresh(ctx.now(), self.cfg.max_latency) => s.clone(),
+            _ => {
+                ctx.metrics().inc("slave.refused_stale");
+                refuse(ctx, RefuseReason::OutOfSync);
+                return;
+            }
+        };
         if let SlaveBehavior::Refuser { prob } = self.behavior {
             if ctx.coin() < prob {
                 ctx.metrics().inc("slave.refused_malicious");
@@ -581,222 +613,13 @@ impl SlaveProcess {
                 return;
             }
         }
-        let anchor = self.latest_digest_stamp.clone().expect("checked fresh");
 
-        // Hot-read fast path: under one anchor, the honest reply for a
-        // query is immutable, so the first build is memoized and every
-        // repeat reader costs one cache probe.  RNG parity: execution
-        // and proving draw no randomness, so the hit and miss paths
-        // consume identical RNG streams (Refuser coin above, lie coin
-        // below) and a run's trace never depends on cache contents.
-        let cached = if self.cfg.proof_cache_bytes > 0 {
-            ctx.charge(ctx.costs().cache_lookup);
-            let key = Self::proof_reply_key(&anchor, &query);
-            let hit = self.reply_cache.get(&key).cloned();
-            match &hit {
-                Some(_) => ctx.metrics().inc("slave.proof_cache_hit"),
-                None => ctx.metrics().inc("slave.proof_cache_miss"),
-            }
-            hit
-        } else {
-            None
-        };
-
-        if let Some(reply) = cached {
-            if self.cfg.cache_verify {
-                // Host-side oracle: rebuild fresh and compare.  No
-                // charges — virtual time must not see the recheck.
-                let fresh = self.build_proof_reply(&query, &anchor);
-                if fresh.as_ref().map(|m| format!("{m:?}")) != Some(format!("{:?}", *reply)) {
-                    ctx.metrics().inc("slave.cache_divergence");
-                }
-            }
-            self.reads_served += 1;
-            ctx.metrics().inc("slave.reads");
-            ctx.metrics().inc("slave.proof_reads");
-            // Liars corrupt the shipped *result* even on a hit (fresh
-            // allocation; the cache always holds the honest reply).
-            let lie = match &*reply {
-                Msg::ProofReadReply { result, .. } | Msg::RangeReadReply { result, .. } => {
-                    apply_lie_behavior(self.behavior, ctx, result)
-                }
-                _ => None, // Poisoned by the test hook with junk.
-            };
-            match lie {
-                Some(bad) => {
-                    ctx.metrics().inc("slave.lies");
-                    self.lies_told
-                        .insert(ResultHash::of(&bad, self.cfg.pledge_hash).bytes().to_vec());
-                    let (Msg::ProofReadReply {
-                        query,
-                        proof,
-                        digest_stamp,
-                        ..
-                    }
-                    | Msg::RangeReadReply {
-                        query,
-                        proof,
-                        digest_stamp,
-                        ..
-                    }) = (*reply).clone()
-                    else {
-                        unreachable!("lie derives from a proof-read reply");
-                    };
-                    ctx.send(
-                        client,
-                        Self::proof_reply_msg(query, bad, proof, digest_stamp),
-                    );
-                }
-                None => ctx.send_cached(client, reply),
-            }
-            return;
-        }
-
-        let Ok((result, qcost)) = execute(&self.db, &query) else {
-            ctx.metrics().inc("slave.query_errors");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        };
-        ctx.charge(crate::cost::query_charge(&qcost, result.size(), ctx.costs()));
-        let Some(Ok(proof)) = self.db.prove_query(&query) else {
-            // Not a point read, or the table itself is gone.
-            ctx.metrics().inc("slave.proof_unsupported");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        };
-        // Proof assembly re-hashes only the O(log n + k) path.
-        ctx.charge(ctx.costs().hash_cost(64) * (1 + proof.depth() as u64));
-        self.reads_served += 1;
-        ctx.metrics().inc("slave.reads");
-        ctx.metrics().inc("slave.proof_reads");
-        if matches!(query, Query::ScanRange { .. }) {
-            ctx.metrics().inc("slave.range_reads");
-        }
-
-        // The honest reply is assembled (and cached) regardless of
-        // behaviour; liars corrupt a per-request copy of the result.
-        // Forging the *proof* against the signed digest would need a
-        // hash collision, so lies die at the client's verification.
-        let honest = Arc::new(Self::proof_reply_msg(
-            Box::new(query.clone()),
-            result.clone(),
-            Box::new(proof),
-            anchor.clone(),
-        ));
-        if self.cfg.proof_cache_bytes > 0 {
-            let key = Self::proof_reply_key(&anchor, &query);
-            let bytes = honest.wire_len();
-            let evicted = self.reply_cache.put(key, Arc::clone(&honest), bytes);
-            ctx.metrics().add("slave.proof_cache_evict", evicted);
-        }
-        match apply_lie_behavior(self.behavior, ctx, &result) {
-            Some(bad) => {
-                ctx.metrics().inc("slave.lies");
-                self.lies_told
-                    .insert(ResultHash::of(&bad, self.cfg.pledge_hash).bytes().to_vec());
-                let (Msg::ProofReadReply { query, proof, .. }
-                | Msg::RangeReadReply { query, proof, .. }) = (*honest).clone()
-                else {
-                    unreachable!("just built");
-                };
-                ctx.send(client, Self::proof_reply_msg(query, bad, proof, anchor));
-            }
-            None => ctx.send_shared(client, honest),
-        }
-    }
-
-    /// Picks the reply variant for a proof-anchored read: scans travel
-    /// as [`Msg::RangeReadReply`], point reads as [`Msg::ProofReadReply`].
-    /// Both are content-addressed and share one reply cache.
-    fn proof_reply_msg(
-        query: Box<Query>,
-        result: QueryResult,
-        proof: Box<StateProof>,
-        digest_stamp: StateDigestStamp,
-    ) -> Msg {
-        if matches!(&*query, Query::ScanRange { .. }) {
-            Msg::RangeReadReply {
-                query,
-                result,
-                proof,
-                digest_stamp,
-            }
-        } else {
-            Msg::ProofReadReply {
-                query,
-                result,
-                proof,
-                digest_stamp,
-            }
-        }
-    }
-
-    /// Rebuilds the honest proof reply from scratch (the `cache_verify`
-    /// oracle); returns `None` when the query no longer executes/proves.
-    fn build_proof_reply(&self, query: &Query, anchor: &StateDigestStamp) -> Option<Msg> {
-        let (result, _) = execute(&self.db, query).ok()?;
-        let proof = self.db.prove_query(query)?.ok()?;
-        Some(Self::proof_reply_msg(
-            Box::new(query.clone()),
-            result,
-            Box::new(proof),
-            anchor.clone(),
-        ))
-    }
-
-    /// Serves a `ReadFileRange` as a proof-anchored chunk stream: one
-    /// [`Msg::StreamHeader`] carrying the manifest proof, then the
-    /// overlapping chunks as [`Msg::StreamChunk`]s.
-    ///
-    /// Same self-gates as [`SlaveProcess::serve_proof_read`].  A liar can
-    /// corrupt chunk *bytes* but not the header — the manifest is pinned
-    /// by the signed digest — so the client rejects the stream at exactly
-    /// the corrupted chunk.
-    fn serve_stream_read(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        client: NodeId,
-        req_id: u64,
-        query: Query,
-    ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, reason: RefuseReason| {
-            ctx.send(client, Msg::ReadRefused { req_id, reason });
-        };
-        if self.excluded {
-            refuse(ctx, RefuseReason::Excluded);
-            return;
-        }
-        let anchor_fresh = self
-            .latest_digest_stamp
-            .as_ref()
-            .is_some_and(|s| s.is_fresh(ctx.now(), self.cfg.max_latency));
-        if !anchor_fresh {
-            ctx.metrics().inc("slave.refused_stale");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        }
-        if let SlaveBehavior::Refuser { prob } = self.behavior {
-            if ctx.coin() < prob {
-                ctx.metrics().inc("slave.refused_malicious");
-                refuse(ctx, RefuseReason::OutOfSync);
-                return;
-            }
-        }
-        let Query::ReadFileRange { path, offset, len } = &query else {
-            ctx.metrics().inc("slave.proof_unsupported");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        };
-
-        let anchor = self.latest_digest_stamp.clone().expect("checked fresh");
-        // The header proof is immutable under one anchor: memoize it so
-        // repeat streams of a hot range skip the O(log n) path re-hash.
-        // The key carries the byte range — a slice header proves only
-        // the chunk-table rows that overlap it, so different ranges of
-        // one file are different cache entries.  Chunk collection below
-        // is per-request (the bytes really move).
-        let proof = if self.cfg.proof_cache_bytes > 0 {
-            ctx.charge(ctx.costs().cache_lookup);
+        if let Query::ReadFileRange { path, offset, len } = &query {
+            // A slice header proves only the chunk-table rows the byte
+            // range overlaps, so keying on the chunk window — not the
+            // raw `(offset, len)` — lets every read landing in the same
+            // chunks share one header.  `(u64::MAX, u64::MAX)` keys the
+            // absent-file header.
             let window = self
                 .db
                 .fs()
@@ -805,11 +628,20 @@ impl SlaveProcess {
                     let (a, b) = m.chunk_range(*offset, *len);
                     (a as u64, b as u64)
                 });
-            let key = Self::stream_proof_key(&anchor, path, window);
-            match self.stream_proof_cache.get(&key).cloned() {
-                Some(p) => {
-                    ctx.metrics().inc("slave.proof_cache_hit");
+            let key = Self::cache_key(
+                &anchor,
+                &[
+                    b"stream",
+                    &window.0.to_be_bytes(),
+                    &window.1.to_be_bytes(),
+                    path.as_bytes(),
+                ],
+            );
+            let proof = match self.cache_get(ctx, &key) {
+                Some(CachedProof::Header(p)) => {
                     if self.cfg.cache_verify {
+                        // Host-side oracle: rebuild fresh and compare.
+                        // No charges — virtual time must not see it.
                         let fresh = self.db.prove_stream(path, *offset, *len);
                         if format!("{fresh:?}") != format!("{p:?}") {
                             ctx.metrics().inc("slave.cache_divergence");
@@ -817,84 +649,171 @@ impl SlaveProcess {
                     }
                     p
                 }
-                None => {
-                    ctx.metrics().inc("slave.proof_cache_miss");
-                    let p = self.db.prove_stream(path, *offset, *len);
+                _ => {
+                    let p = Box::new(self.db.prove_stream(path, *offset, *len));
                     // Header assembly re-hashes only the O(log n) path.
                     ctx.charge(ctx.costs().hash_cost(64) * (1 + p.depth() as u64));
-                    let evicted = self.stream_proof_cache.put(key, p.clone(), p.wire_len());
-                    ctx.metrics().add("slave.proof_cache_evict", evicted);
+                    let bytes = p.wire_len();
+                    self.cache_put(ctx, key, CachedProof::Header(p.clone()), bytes);
                     p
                 }
+            };
+            // The slice already covers exactly the chunks overlapping the
+            // requested byte range; stream them at their absolute indexes.
+            let (first, end) = proof.slice.as_ref().map_or((0, 0), |s| {
+                (s.first as usize, s.first as usize + s.entries.len())
+            });
+            let mut chunks: Vec<(u32, Vec<u8>)> = proof
+                .slice
+                .as_ref()
+                .map(|s| s.entries.as_slice())
+                .unwrap_or_default()
+                .iter()
+                .enumerate()
+                .filter_map(|(rel, entry)| {
+                    let data = self.db.fs().chunk_bytes(&entry.id)?.to_vec();
+                    Some(((first + rel) as u32, data))
+                })
+                .collect();
+            if chunks.len() != end - first {
+                // A manifest chunk missing from the store means replica
+                // corruption; refusing beats streaming a doomed proof.
+                ctx.metrics().inc("slave.query_errors");
+                refuse(ctx, RefuseReason::OutOfSync);
+                return;
             }
-        } else {
-            let p = self.db.prove_stream(path, *offset, *len);
-            ctx.charge(ctx.costs().hash_cost(64) * (1 + p.depth() as u64));
-            p
-        };
-        // The slice already covers exactly the chunks overlapping the
-        // requested byte range; stream them at their absolute indexes.
-        let (first, end) = proof.slice.as_ref().map_or((0, 0), |s| {
-            (s.first as usize, s.first as usize + s.entries.len())
-        });
-        let chunks: Vec<(u32, Vec<u8>)> = proof
-            .slice
-            .as_ref()
-            .map(|s| s.entries.as_slice())
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-            .filter_map(|(rel, entry)| {
-                let data = self.db.fs().chunk_bytes(&entry.id)?.to_vec();
-                Some(((first + rel) as u32, data))
-            })
-            .collect();
-        if chunks.len() != end - first {
-            // A manifest chunk missing from the store means replica
-            // corruption; refusing beats streaming a doomed proof.
-            ctx.metrics().inc("slave.query_errors");
-            refuse(ctx, RefuseReason::OutOfSync);
+            let streamed: usize = chunks.iter().map(|(_, d)| d.len()).sum();
+            ctx.charge(ctx.costs().serde_cost(streamed));
+            self.reads_served += 1;
+            ctx.metrics().inc("slave.reads");
+            ctx.metrics().inc("slave.stream_reads");
+
+            // Liars corrupt one chunk's bytes; the header stays honest.
+            let lie_coin = match self.behavior {
+                SlaveBehavior::ConsistentLiar { prob, .. }
+                | SlaveBehavior::InconsistentLiar { prob } => ctx.coin() < prob,
+                _ => false,
+            };
+            if lie_coin {
+                if let Some((_, data)) = chunks.last_mut() {
+                    data[0] ^= 0x5a;
+                    let forged =
+                        QueryResult::Text(Some(String::from_utf8_lossy(data).into_owned()));
+                    self.record_lie(ctx, &forged);
+                }
+            }
+            ctx.send(
+                client,
+                Msg::StreamHeader {
+                    req_id,
+                    proof,
+                    digest_stamp: anchor,
+                    first_chunk: first as u32,
+                    chunk_count: (end - first) as u32,
+                },
+            );
+            for (index, data) in chunks {
+                ctx.send(
+                    client,
+                    Msg::StreamChunk {
+                        req_id,
+                        index,
+                        data,
+                    },
+                );
+            }
             return;
         }
-        let streamed: usize = chunks.iter().map(|(_, d)| d.len()).sum();
-        ctx.charge(ctx.costs().serde_cost(streamed));
+
+        let key = Self::cache_key(&anchor, &[b"reply", &query.encode()]);
+        let (reply, cached) = match self.cache_get(ctx, &key) {
+            Some(CachedProof::Reply(reply)) => {
+                if self.cfg.cache_verify {
+                    // Host-side oracle, as for stream headers above.
+                    let fresh = self.build_proven_reply(&query, &anchor);
+                    if fresh.as_ref().map(|m| format!("{m:?}")) != Some(format!("{:?}", *reply)) {
+                        ctx.metrics().inc("slave.cache_divergence");
+                    }
+                }
+                (reply, true)
+            }
+            _ => {
+                let Ok((result, qcost)) = execute(&self.db, &query) else {
+                    ctx.metrics().inc("slave.query_errors");
+                    refuse(ctx, RefuseReason::OutOfSync);
+                    return;
+                };
+                ctx.charge(crate::cost::query_charge(
+                    &qcost,
+                    result.size(),
+                    ctx.costs(),
+                ));
+                let Some(Ok(proof)) = self.db.prove_query(&query) else {
+                    // No Merkle path for this shape, or the table is gone.
+                    ctx.metrics().inc("slave.proof_unsupported");
+                    refuse(ctx, RefuseReason::OutOfSync);
+                    return;
+                };
+                // Proof assembly re-hashes only the O(log n + k) path.
+                ctx.charge(ctx.costs().hash_cost(64) * (1 + proof.depth() as u64));
+                let reply = Arc::new(Msg::ProvenReply {
+                    query: Box::new(query.clone()),
+                    result,
+                    proof: Box::new(proof),
+                    digest_stamp: anchor,
+                });
+                let bytes = reply.wire_len();
+                self.cache_put(ctx, key, CachedProof::Reply(Arc::clone(&reply)), bytes);
+                (reply, false)
+            }
+        };
         self.reads_served += 1;
         ctx.metrics().inc("slave.reads");
-        ctx.metrics().inc("slave.stream_reads");
-
-        // Liars corrupt one chunk's bytes; the header stays honest
-        // because the manifest is pinned by the signed digest.
-        let mut chunks = chunks;
-        let lie_coin = match self.behavior {
-            SlaveBehavior::ConsistentLiar { prob, .. }
-            | SlaveBehavior::InconsistentLiar { prob } => ctx.coin() < prob,
-            _ => false,
+        ctx.metrics().inc("slave.proof_reads");
+        if matches!(query, Query::ScanRange { .. }) {
+            ctx.metrics().inc("slave.range_reads");
+        }
+        // The cache always holds the honest reply; liars corrupt a
+        // per-request copy of the result.
+        let lie = match &*reply {
+            Msg::ProvenReply { result, .. } => apply_lie_behavior(self.behavior, ctx, result),
+            _ => None, // Poisoned by the test hook with junk.
         };
-        if lie_coin {
-            if let Some((_, data)) = chunks.last_mut() {
-                data[0] ^= 0x5a;
-                ctx.metrics().inc("slave.lies");
-                let forged = QueryResult::Text(Some(
-                    String::from_utf8_lossy(data).into_owned(),
-                ));
-                self.lies_told
-                    .insert(ResultHash::of(&forged, self.cfg.pledge_hash).bytes().to_vec());
+        match lie {
+            Some(bad) => {
+                self.record_lie(ctx, &bad);
+                let mut forged = (*reply).clone();
+                if let Msg::ProvenReply { result, .. } = &mut forged {
+                    *result = bad;
+                }
+                ctx.send(client, forged);
             }
+            None if cached => ctx.send_cached(client, reply),
+            None => ctx.send_shared(client, reply),
         }
+    }
 
-        ctx.send(
-            client,
-            Msg::StreamHeader {
-                req_id,
-                proof: Box::new(proof),
-                digest_stamp: anchor,
-                first_chunk: first as u32,
-                chunk_count: (end - first) as u32,
-            },
+    /// Books one lie for the wrong-accept oracle.
+    fn record_lie(&mut self, ctx: &mut Ctx<'_, Msg>, shipped: &QueryResult) {
+        ctx.metrics().inc("slave.lies");
+        self.lies_told.insert(
+            ResultHash::of(shipped, self.cfg.pledge_hash)
+                .bytes()
+                .to_vec(),
         );
-        for (index, data) in chunks {
-            ctx.send(client, Msg::StreamChunk { req_id, index, data });
-        }
+    }
+
+    /// Rebuilds the honest proven reply from scratch (the `cache_verify`
+    /// oracle); returns `None` when the query no longer executes/proves.
+    fn build_proven_reply(&self, query: &Query, anchor: &StateDigestStamp) -> Option<Msg> {
+        let (result, _) = execute(&self.db, query).ok()?;
+        let proof = self.db.prove_query(query)?.ok()?;
+        Some(Msg::ProvenReply {
+            query: Box::new(query.clone()),
+            result,
+            proof: Box::new(proof),
+            digest_stamp: anchor.clone(),
+        })
     }
 }
 
@@ -902,8 +821,7 @@ impl Process<Msg> for SlaveProcess {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::ReadRequest { req_id, query } => self.serve_read(ctx, from, req_id, query),
-            Msg::ProofRead { req_id, query } => self.serve_proof_read(ctx, from, req_id, query),
-            Msg::StreamRead { req_id, query } => self.serve_stream_read(ctx, from, req_id, query),
+            Msg::ProvenRead { req_id, query } => self.serve_proven_read(ctx, from, req_id, query),
             Msg::KeepAlive {
                 stamp,
                 digest_stamp,

@@ -8,12 +8,15 @@
 //!   freshness under the client's own `max_latency`.  Acceptance is
 //!   provisional: the pledge still goes to the auditor (or a sampled
 //!   double-check) because a consistent liar passes all four checks.
-//! * **Proof-verified** ([`verify_proof_read`]) — static point reads
-//!   (`GetRow`, `ReadFile`): master signature over the *state digest*
-//!   stamp, stamp freshness, and an O(log n) Merkle path fold from the
-//!   delivered result to the signed digest.  Acceptance is final: a
-//!   wrong answer cannot carry a valid proof, so the auditor and the
-//!   double-check machinery are skipped entirely.
+//! * **Proof-verified** ([`verify_proven`]) — the answer to a
+//!   [`Msg::ProvenRead`](crate::messages::Msg::ProvenRead): point reads
+//!   (`GetRow`, `ReadFile`) and key scans (`ScanRange`) delivered as a
+//!   [`Msg::ProvenReply`](crate::messages::Msg::ProvenReply), and the
+//!   header of a streamed `ReadFileRange`.  Known responder, master
+//!   signature over the *state digest* stamp, stamp freshness, and a
+//!   Merkle fold from the delivered answer to the signed digest.
+//!   Acceptance is final: a wrong answer cannot carry a valid proof, so
+//!   the auditor and the double-check machinery are skipped entirely.
 //!
 //! Both pipelines are built from the same helpers and report a
 //! structured [`RejectReason`] instead of a bare bool, so metrics,
@@ -200,95 +203,62 @@ pub fn verify_pledged_read(
     check_freshness(env, pledge.stamp.timestamp)
 }
 
-/// Full proof-read verification: known responder, digest-stamp
-/// signature, freshness, then the Merkle path fold from the delivered
-/// result to the signed digest.
-pub fn verify_proof_read(
+/// What a proven read delivered, to be folded to the signed digest.
+#[derive(Clone, Copy, Debug)]
+pub enum ProvenAnswer<'a> {
+    /// A point, file or scan result and the proof claimed to cover it.
+    Result(&'a QueryResult, &'a StateProof),
+    /// A stream header.  Once it verifies, each arriving chunk is checked
+    /// with [`StreamProof::verify_chunk`] — no further trust in the
+    /// slave, and no buffering of the file.
+    Header(&'a StreamProof),
+}
+
+impl ProvenAnswer<'_> {
+    /// Path depth of the proof: what one fold costs, in hash steps.
+    pub fn depth(&self) -> usize {
+        match self {
+            ProvenAnswer::Result(_, proof) => proof.depth(),
+            ProvenAnswer::Header(proof) => proof.depth(),
+        }
+    }
+}
+
+/// Full proven-read verification, in order: known responder, digest
+/// stamp signature (`check_stamp`), for a stream header that it proves
+/// the requested path, stamp freshness, then the Merkle fold from the
+/// answer to the signed digest.
+///
+/// `check_stamp` is the signature step: pass [`check_digest_stamp`] to
+/// verify every time, or a memo that skips statements it has already
+/// verified.  Freshness is never memoized — the same stamp goes stale as
+/// time passes — and the fold always runs, because it is what ties
+/// *this* answer to the signed digest.
+pub fn verify_proven(
     env: &VerifyEnv<'_>,
     from: NodeId,
     query: &Query,
-    result: &QueryResult,
-    proof: &StateProof,
+    answer: ProvenAnswer<'_>,
     stamp: &StateDigestStamp,
+    check_stamp: impl FnOnce(&VerifyEnv<'_>, &StateDigestStamp) -> Result<(), RejectReason>,
 ) -> Result<(), RejectReason> {
-    if env.slave_key(from).is_none() {
+    if !env.knows_slave(from) {
         return Err(RejectReason::UnknownSlave);
     }
-    check_digest_stamp(env, stamp)?;
-    check_freshness(env, stamp.timestamp)?;
-    proof
-        .verify_result(&stamp.digest, stamp.version, query, result)
-        .map_err(RejectReason::BadProof)
-}
-
-/// Proof-read verification tail for a stamp whose master signature is
-/// already trusted (the client's stamp-verification cache memoizes the
-/// expensive signature check per statement).  The caller has verified
-/// the responder and the stamp signature; freshness is **not** cached —
-/// the same stamp statement goes stale as time passes, so it re-checks
-/// on every reply — and the Merkle fold always runs, because it is what
-/// ties *this* result to the signed digest.
-pub fn verify_proof_read_stampless(
-    env: &VerifyEnv<'_>,
-    query: &Query,
-    result: &QueryResult,
-    proof: &StateProof,
-    stamp: &StateDigestStamp,
-) -> Result<(), RejectReason> {
-    check_freshness(env, stamp.timestamp)?;
-    proof
-        .verify_result(&stamp.digest, stamp.version, query, result)
-        .map_err(RejectReason::BadProof)
-}
-
-/// Stream-header verification tail for an already-trusted stamp
-/// signature: path shape, freshness, and the manifest fold (the
-/// counterpart of [`verify_proof_read_stampless`] for streams).
-pub fn verify_stream_header_stampless(
-    env: &VerifyEnv<'_>,
-    query: &Query,
-    proof: &StreamProof,
-    stamp: &StateDigestStamp,
-) -> Result<(), RejectReason> {
-    let Query::ReadFileRange { path, .. } = query else {
-        return Err(RejectReason::BadProof(ProofError::ShapeMismatch));
-    };
-    if proof.path != *path {
-        return Err(RejectReason::BadProof(ProofError::ShapeMismatch));
+    check_stamp(env, stamp)?;
+    if let ProvenAnswer::Header(proof) = answer {
+        if !matches!(query, Query::ReadFileRange { path, .. } if *path == proof.path) {
+            return Err(RejectReason::BadProof(ProofError::ShapeMismatch));
+        }
     }
     check_freshness(env, stamp.timestamp)?;
-    proof
-        .verify_header(&stamp.digest, stamp.version)
-        .map_err(RejectReason::BadProof)
-}
-
-/// Stream-header verification: known responder, the proof is about the
-/// requested path, digest-stamp signature, freshness, then the Merkle
-/// fold from the chunk manifest to the signed digest.  After this
-/// passes, each arriving chunk is checked with
-/// [`StreamProof::verify_chunk`] — no further trust in the slave, and
-/// no buffering of the file.
-pub fn verify_stream_header(
-    env: &VerifyEnv<'_>,
-    from: NodeId,
-    query: &Query,
-    proof: &StreamProof,
-    stamp: &StateDigestStamp,
-) -> Result<(), RejectReason> {
-    if env.slave_key(from).is_none() {
-        return Err(RejectReason::UnknownSlave);
+    match answer {
+        ProvenAnswer::Result(result, proof) => {
+            proof.verify_result(&stamp.digest, stamp.version, query, result)
+        }
+        ProvenAnswer::Header(proof) => proof.verify_header(&stamp.digest, stamp.version),
     }
-    let Query::ReadFileRange { path, .. } = query else {
-        return Err(RejectReason::BadProof(ProofError::ShapeMismatch));
-    };
-    if proof.path != *path {
-        return Err(RejectReason::BadProof(ProofError::ShapeMismatch));
-    }
-    check_digest_stamp(env, stamp)?;
-    check_freshness(env, stamp.timestamp)?;
-    proof
-        .verify_header(&stamp.digest, stamp.version)
-        .map_err(RejectReason::BadProof)
+    .map_err(RejectReason::BadProof)
 }
 
 #[cfg(test)]
@@ -387,127 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn range_scan_pipeline_accepts_complete_answers_and_kills_omissions() {
-        let mut f = fixture();
-        let mut db = db();
-        let ops: Vec<UpdateOp> = (10..30)
-            .map(|k| UpdateOp::Insert {
-                table: "t".into(),
-                key: k,
-                doc: Document::new().with("v", k as i64),
-            })
-            .collect();
-        db.apply_write(&ops).unwrap();
-        let query = Query::ScanRange {
-            table: "t".into(),
-            start: 12,
-            end: 25,
-        };
-        let (result, _) = sdr_store::execute(&db, &query).unwrap();
-        let proof = db.prove_scan("t", 12, 25).unwrap();
-        let stamp = StateDigestStamp::build(
-            db.version(),
-            db.state_digest(),
-            SimTime::from_millis(100),
-            NodeId(0),
-            &mut f.master,
-        )
-        .unwrap();
-
-        verify_proof_read(&env(&f, 200), NodeId(5), &query, &result, &proof, &stamp).unwrap();
-
-        // Omitting a row from the middle of the scan is caught — range
-        // proofs prove completeness, not just membership.
-        let QueryResult::Rows(rows) = &result else { panic!("rows") };
-        let mut omitted = rows.clone();
-        omitted.remove(5);
-        assert!(matches!(
-            verify_proof_read(
-                &env(&f, 200),
-                NodeId(5),
-                &query,
-                &QueryResult::Rows(omitted),
-                &proof,
-                &stamp
-            ),
-            Err(RejectReason::BadProof(_))
-        ));
-        // Same gates as point proofs: staleness and unknown responder.
-        assert_eq!(
-            verify_proof_read(&env(&f, 2_000), NodeId(5), &query, &result, &proof, &stamp),
-            Err(RejectReason::Stale)
-        );
-        assert_eq!(
-            verify_proof_read(&env(&f, 200), NodeId(99), &query, &result, &proof, &stamp),
-            Err(RejectReason::UnknownSlave)
-        );
-    }
-
-    #[test]
-    fn stream_header_pipeline_checks_path_stamp_and_fold() {
-        let mut f = fixture();
-        let mut db = db();
-        let contents: String = (0..800).map(|l| format!("line {l:04} of streamed data\n")).collect();
-        db.apply_write(&[UpdateOp::WriteFile {
-            path: "/big".into(),
-            contents: contents.clone(),
-        }])
-        .unwrap();
-        let query = Query::ReadFileRange {
-            path: "/big".into(),
-            offset: 0,
-            len: contents.len() as u64,
-        };
-        let proof = db.prove_stream("/big", 0, contents.len() as u64);
-        let stamp = StateDigestStamp::build(
-            db.version(),
-            db.state_digest(),
-            SimTime::from_millis(100),
-            NodeId(0),
-            &mut f.master,
-        )
-        .unwrap();
-
-        verify_stream_header(&env(&f, 200), NodeId(5), &query, &proof, &stamp).unwrap();
-        // Chunks then verify individually against the manifest slice.
-        let slice = proof.slice.as_ref().unwrap();
-        let mut off = 0usize;
-        for (i, e) in slice.entries.iter().enumerate() {
-            proof
-                .verify_chunk(i, &contents.as_bytes()[off..off + e.len as usize])
-                .unwrap();
-            off += e.len as usize;
-        }
-
-        // A proof for a different path is not accepted for this query.
-        let wrong_path = Query::ReadFileRange {
-            path: "/other".into(),
-            offset: 0,
-            len: 8,
-        };
-        assert!(matches!(
-            verify_stream_header(&env(&f, 200), NodeId(5), &wrong_path, &proof, &stamp),
-            Err(RejectReason::BadProof(_))
-        ));
-        // Unknown responder, forged stamp, staleness — same gates as
-        // point-read proofs.
-        assert_eq!(
-            verify_stream_header(&env(&f, 200), NodeId(99), &query, &proof, &stamp),
-            Err(RejectReason::UnknownSlave)
-        );
-        let mut bad_stamp = stamp.clone();
-        bad_stamp.version += 1;
-        assert_eq!(
-            verify_stream_header(&env(&f, 200), NodeId(5), &query, &proof, &bad_stamp),
-            Err(RejectReason::BadStampSignature)
-        );
-        assert_eq!(
-            verify_stream_header(&env(&f, 2_000), NodeId(5), &query, &proof, &stamp),
-            Err(RejectReason::Stale)
-        );
-    }
-
-    #[test]
     fn pledged_pipeline_reports_each_failure() {
         let mut f = fixture();
         let query = Query::GetRow {
@@ -553,16 +402,27 @@ mod tests {
         );
     }
 
+    /// One table over every proven shape {point, range, stream header}
+    /// × {accept, unknown responder, forged stamp, stale, bad proof}.
     #[test]
     fn proof_pipeline_accepts_true_answers_and_kills_lies() {
         let mut f = fixture();
-        let db = db();
-        let query = Query::GetRow {
-            table: "t".into(),
-            key: 7,
-        };
-        let (result, _) = sdr_store::execute(&db, &query).unwrap();
-        let proof = db.prove_row("t", 7).unwrap();
+        let mut db = db();
+        let mut ops: Vec<UpdateOp> = (10..30)
+            .map(|k| UpdateOp::Insert {
+                table: "t".into(),
+                key: k,
+                doc: Document::new().with("v", k as i64),
+            })
+            .collect();
+        let contents: String = (0..800)
+            .map(|l| format!("line {l:04} of streamed data\n"))
+            .collect();
+        ops.push(UpdateOp::WriteFile {
+            path: "/big".into(),
+            contents: contents.clone(),
+        });
+        db.apply_write(&ops).unwrap();
         let stamp = StateDigestStamp::build(
             db.version(),
             db.state_digest(),
@@ -571,31 +431,112 @@ mod tests {
             &mut f.master,
         )
         .unwrap();
+        let mut forged = stamp.clone();
+        forged.version += 1;
 
-        verify_proof_read(&env(&f, 200), NodeId(5), &query, &result, &proof, &stamp).unwrap();
+        // Point read; the lie is a corrupted row under the honest proof.
+        let get = Query::GetRow {
+            table: "t".into(),
+            key: 7,
+        };
+        let (get_result, _) = sdr_store::execute(&db, &get).unwrap();
+        let get_proof = db.prove_row("t", 7).unwrap();
+        let get_lie = QueryResult::Rows(vec![(7, Document::new().with("v", 666i64))]);
+        // Range scan; the lie omits a row from the middle — range proofs
+        // prove completeness, not just membership.
+        let scan = Query::ScanRange {
+            table: "t".into(),
+            start: 12,
+            end: 25,
+        };
+        let (scan_result, _) = sdr_store::execute(&db, &scan).unwrap();
+        let scan_proof = db.prove_scan("t", 12, 25).unwrap();
+        let QueryResult::Rows(rows) = &scan_result else {
+            panic!("rows")
+        };
+        let mut omitted = rows.clone();
+        omitted.remove(5);
+        let scan_lie = QueryResult::Rows(omitted);
+        // Stream header; the lie is a header for another path.
+        let stream = Query::ReadFileRange {
+            path: "/big".into(),
+            offset: 0,
+            len: contents.len() as u64,
+        };
+        let stream_proof = db.prove_stream("/big", 0, contents.len() as u64);
+        let other_path = Query::ReadFileRange {
+            path: "/other".into(),
+            offset: 0,
+            len: 8,
+        };
 
-        // A corrupted result cannot carry a valid proof.
-        let lie = QueryResult::Rows(vec![(7, Document::new().with("v", 666i64))]);
-        assert!(matches!(
-            verify_proof_read(&env(&f, 200), NodeId(5), &query, &lie, &proof, &stamp),
-            Err(RejectReason::BadProof(_))
-        ));
-        // A forged digest stamp dies on the master signature.
-        let mut bad_stamp = stamp.clone();
-        bad_stamp.version += 1;
-        assert_eq!(
-            verify_proof_read(&env(&f, 200), NodeId(5), &query, &result, &proof, &bad_stamp),
-            Err(RejectReason::BadStampSignature)
-        );
-        // Stale digest stamps are rejected like stale pledges.
-        assert_eq!(
-            verify_proof_read(&env(&f, 2_000), NodeId(5), &query, &result, &proof, &stamp),
-            Err(RejectReason::Stale)
-        );
-        // Unknown responder.
-        assert_eq!(
-            verify_proof_read(&env(&f, 200), NodeId(99), &query, &result, &proof, &stamp),
-            Err(RejectReason::UnknownSlave)
-        );
+        let shapes = [
+            (
+                "point",
+                &get,
+                ProvenAnswer::Result(&get_result, &get_proof),
+                &get,
+                ProvenAnswer::Result(&get_lie, &get_proof),
+            ),
+            (
+                "range",
+                &scan,
+                ProvenAnswer::Result(&scan_result, &scan_proof),
+                &scan,
+                ProvenAnswer::Result(&scan_lie, &scan_proof),
+            ),
+            (
+                "stream",
+                &stream,
+                ProvenAnswer::Header(&stream_proof),
+                &other_path,
+                ProvenAnswer::Header(&stream_proof),
+            ),
+        ];
+        let verify = |now_ms, from, query, answer, stamp| {
+            verify_proven(
+                &env(&f, now_ms),
+                NodeId(from),
+                query,
+                answer,
+                stamp,
+                check_digest_stamp,
+            )
+        };
+        for (shape, query, honest, lie_query, lie) in shapes {
+            assert_eq!(verify(200, 5, query, honest, &stamp), Ok(()), "{shape}");
+            assert_eq!(
+                verify(200, 99, query, honest, &stamp),
+                Err(RejectReason::UnknownSlave),
+                "{shape}"
+            );
+            assert_eq!(
+                verify(200, 5, query, honest, &forged),
+                Err(RejectReason::BadStampSignature),
+                "{shape}"
+            );
+            assert_eq!(
+                verify(2_000, 5, query, honest, &stamp),
+                Err(RejectReason::Stale),
+                "{shape}"
+            );
+            assert!(
+                matches!(
+                    verify(200, 5, lie_query, lie, &stamp),
+                    Err(RejectReason::BadProof(_))
+                ),
+                "{shape}"
+            );
+        }
+
+        // After the header, chunks verify one by one against the slice.
+        let slice = stream_proof.slice.as_ref().unwrap();
+        let mut off = 0usize;
+        for (i, e) in slice.entries.iter().enumerate() {
+            stream_proof
+                .verify_chunk(i, &contents.as_bytes()[off..off + e.len as usize])
+                .unwrap();
+            off += e.len as usize;
+        }
     }
 }

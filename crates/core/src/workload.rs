@@ -279,7 +279,8 @@ pub struct Workload {
     pub dataset: DatasetSpec,
     /// Mean reads per second per client (peak rate when diurnal).
     pub reads_per_sec: f64,
-    /// Mean writes per second across the whole system.
+    /// Mean writes per second per writer client (a system offers
+    /// `writes_per_sec` × the number of writers).
     pub writes_per_sec: f64,
     /// Fraction of clients that issue writes.
     pub writer_fraction: f64,
@@ -381,9 +382,8 @@ impl Workload {
     }
 
     /// Samples a write inter-arrival gap for one writer client.
-    pub fn write_gap<R: Rng>(&self, rng: &mut R, n_writers: usize) -> SimDuration {
-        let rate = self.writes_per_sec / n_writers.max(1) as f64;
-        sample_exp_gap(rng, rate)
+    pub fn write_gap<R: Rng>(&self, rng: &mut R) -> SimDuration {
+        sample_exp_gap(rng, self.writes_per_sec)
     }
 
     /// Samples a write operation batch (small catalogue touch-ups).
@@ -562,7 +562,7 @@ mod tests {
             writes_per_sec: 0.0,
             ..Workload::default()
         };
-        assert!(w.write_gap(&mut rng, 1) >= SimDuration::from_secs(3_600));
+        assert!(w.write_gap(&mut rng) >= SimDuration::from_secs(3_600));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use sdr_core::messages::{Msg, StateDigestStamp};
 use sdr_core::scenario::{registry, Grid, Param, Runner};
-use sdr_core::verify::{self, RejectReason, VerifyEnv};
+use sdr_core::verify::{check_digest_stamp, verify_proven, ProvenAnswer, RejectReason, VerifyEnv};
 use sdr_core::{SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
 use sdr_crypto::{HmacSigner, Signer};
 use sdr_sim::{NodeId, SimDuration, SimTime};
@@ -167,7 +167,7 @@ fn disabled_caches_accept_the_same_reads_correctly() {
     }
 }
 
-/// Assembled `RangeReadReply`s are memoized under the same
+/// Assembled scan replies are memoized under the same
 /// `(anchor, query)` key as point-proof replies, and every anchor move
 /// or applied write wipes them wholesale — so a scan-heavy run with
 /// writes interleaved must show cache hits AND zero proof rejections.
@@ -189,6 +189,13 @@ fn cached_range_replies_hit_and_are_never_served_stale() {
     let m = sys.world.metrics();
 
     assert!(m.counter("slave.range_reads") > 0, "no scans served");
+    // Every proven reply in this scan-only mix is a scan, so the range
+    // counter must see each one served, reply-cache hits included.
+    assert_eq!(
+        m.counter("slave.range_reads"),
+        m.counter("slave.proof_reads"),
+        "slave.range_reads missed scans served from the reply cache"
+    );
     assert!(
         stats.range_rows_verified > 0,
         "no rows verified under range proofs: {}",
@@ -245,7 +252,7 @@ fn poisoned_cache_cannot_forge_an_accepted_proof() {
             for key in 1..=50u64 {
                 let query = Query::GetRow { table: "products".into(), key };
                 let proof = db.prove_row("products", key).expect("table exists");
-                let reply = Msg::ProofReadReply {
+                let reply = Msg::ProvenReply {
                     query: Box::new(query.clone()),
                     result: QueryResult::Scalar(Value::Int(666)),
                     proof: Box::new(proof),
@@ -305,13 +312,21 @@ fn injected_stale_cached_reply_is_rejected() {
     )
     .unwrap();
 
+    let verify = |now_ms, stamp| {
+        let answer = ProvenAnswer::Result(&result, &proof);
+        verify_proven(
+            &env(now_ms),
+            NodeId(5),
+            &query,
+            answer,
+            stamp,
+            check_digest_stamp,
+        )
+    };
     // Fresh enough: the cached reply verifies like a new one.
-    verify::verify_proof_read_stampless(&env(400), &query, &result, &proof, &stamp).unwrap();
+    verify(400, &stamp).unwrap();
     // Replayed past the freshness bound: rejected as stale.
-    assert_eq!(
-        verify::verify_proof_read_stampless(&env(700), &query, &result, &proof, &stamp),
-        Err(RejectReason::Stale)
-    );
+    assert_eq!(verify(700, &stamp), Err(RejectReason::Stale));
 
     // A write bumps the version; the old cached proof cannot fold to the
     // new signed digest even under a fresh stamp.
@@ -330,7 +345,7 @@ fn injected_stale_cached_reply_is_rejected() {
     )
     .unwrap();
     assert!(matches!(
-        verify::verify_proof_read_stampless(&env(500), &query, &result, &proof, &new_stamp),
+        verify(500, &new_stamp),
         Err(RejectReason::BadProof(_))
     ));
 }

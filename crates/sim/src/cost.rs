@@ -5,8 +5,12 @@
 //! and the auditor wins by skipping signatures and replies.  Experiments
 //! charge virtual CPU microseconds through this table, so results are
 //! machine-independent and deterministic.  Default constants were
-//! calibrated against the `sdr-crypto`/`sdr-store` criterion benches (see
-//! E11 in EXPERIMENTS.md) and rounded; the *ratios* are what matter.
+//! calibrated against the `sdr-crypto`/`sdr-store` criterion benches and
+//! rounded; the *ratios* are what matter.  To check them against this
+//! machine, the `e11_crypto` binary in `sdr-bench` times the real
+//! primitives against the model's ratios, and the benchmark under
+//! `perfbench/` reports modeled over measured host time per operation as
+//! its `model_ratio.*` metrics.
 
 use crate::time::SimDuration;
 

@@ -162,7 +162,7 @@ fn unsupported_proof_shapes_are_refused_and_surfaced() {
         sys.world.inject(
             client,
             slave,
-            Msg::ProofRead {
+            Msg::ProvenRead {
                 req_id: 999_999,
                 query: Query::Range {
                     table: "products".into(),
