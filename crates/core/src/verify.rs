@@ -402,10 +402,16 @@ mod tests {
         );
     }
 
-    /// One table over every proven shape {point, range, stream header}
-    /// × {accept, unknown responder, forged stamp, stale, bad proof}.
-    #[test]
-    fn proof_pipeline_accepts_true_answers_and_kills_lies() {
+    /// A database holding rows 10..30 beside row 7, and one file `/big`
+    /// large enough to span several chunks, with a stamp over its state.
+    struct Proven {
+        f: Fixture,
+        db: Database,
+        contents: String,
+        stamp: StateDigestStamp,
+    }
+
+    fn proven() -> Proven {
         let mut f = fixture();
         let mut db = db();
         let mut ops: Vec<UpdateOp> = (10..30)
@@ -431,71 +437,29 @@ mod tests {
             &mut f.master,
         )
         .unwrap();
-        let mut forged = stamp.clone();
+        Proven {
+            f,
+            db,
+            contents,
+            stamp,
+        }
+    }
+
+    /// One table, shared by every proven shape: {accept, unknown
+    /// responder, forged stamp, stale, bad proof}.  `lie` is answered to
+    /// `lie_query` under the honest stamp and must die as a bad proof.
+    fn assert_proven_table(
+        p: &Proven,
+        query: &Query,
+        honest: ProvenAnswer<'_>,
+        lie_query: &Query,
+        lie: ProvenAnswer<'_>,
+    ) {
+        let mut forged = p.stamp.clone();
         forged.version += 1;
-
-        // Point read; the lie is a corrupted row under the honest proof.
-        let get = Query::GetRow {
-            table: "t".into(),
-            key: 7,
-        };
-        let (get_result, _) = sdr_store::execute(&db, &get).unwrap();
-        let get_proof = db.prove_row("t", 7).unwrap();
-        let get_lie = QueryResult::Rows(vec![(7, Document::new().with("v", 666i64))]);
-        // Range scan; the lie omits a row from the middle — range proofs
-        // prove completeness, not just membership.
-        let scan = Query::ScanRange {
-            table: "t".into(),
-            start: 12,
-            end: 25,
-        };
-        let (scan_result, _) = sdr_store::execute(&db, &scan).unwrap();
-        let scan_proof = db.prove_scan("t", 12, 25).unwrap();
-        let QueryResult::Rows(rows) = &scan_result else {
-            panic!("rows")
-        };
-        let mut omitted = rows.clone();
-        omitted.remove(5);
-        let scan_lie = QueryResult::Rows(omitted);
-        // Stream header; the lie is a header for another path.
-        let stream = Query::ReadFileRange {
-            path: "/big".into(),
-            offset: 0,
-            len: contents.len() as u64,
-        };
-        let stream_proof = db.prove_stream("/big", 0, contents.len() as u64);
-        let other_path = Query::ReadFileRange {
-            path: "/other".into(),
-            offset: 0,
-            len: 8,
-        };
-
-        let shapes = [
-            (
-                "point",
-                &get,
-                ProvenAnswer::Result(&get_result, &get_proof),
-                &get,
-                ProvenAnswer::Result(&get_lie, &get_proof),
-            ),
-            (
-                "range",
-                &scan,
-                ProvenAnswer::Result(&scan_result, &scan_proof),
-                &scan,
-                ProvenAnswer::Result(&scan_lie, &scan_proof),
-            ),
-            (
-                "stream",
-                &stream,
-                ProvenAnswer::Header(&stream_proof),
-                &other_path,
-                ProvenAnswer::Header(&stream_proof),
-            ),
-        ];
         let verify = |now_ms, from, query, answer, stamp| {
             verify_proven(
-                &env(&f, now_ms),
+                &env(&p.f, now_ms),
                 NodeId(from),
                 query,
                 answer,
@@ -503,38 +467,102 @@ mod tests {
                 check_digest_stamp,
             )
         };
-        for (shape, query, honest, lie_query, lie) in shapes {
-            assert_eq!(verify(200, 5, query, honest, &stamp), Ok(()), "{shape}");
-            assert_eq!(
-                verify(200, 99, query, honest, &stamp),
-                Err(RejectReason::UnknownSlave),
-                "{shape}"
-            );
-            assert_eq!(
-                verify(200, 5, query, honest, &forged),
-                Err(RejectReason::BadStampSignature),
-                "{shape}"
-            );
-            assert_eq!(
-                verify(2_000, 5, query, honest, &stamp),
-                Err(RejectReason::Stale),
-                "{shape}"
-            );
-            assert!(
-                matches!(
-                    verify(200, 5, lie_query, lie, &stamp),
-                    Err(RejectReason::BadProof(_))
-                ),
-                "{shape}"
-            );
-        }
+        assert_eq!(verify(200, 5, query, honest, &p.stamp), Ok(()));
+        assert_eq!(
+            verify(200, 99, query, honest, &p.stamp),
+            Err(RejectReason::UnknownSlave)
+        );
+        assert_eq!(
+            verify(200, 5, query, honest, &forged),
+            Err(RejectReason::BadStampSignature)
+        );
+        assert_eq!(
+            verify(2_000, 5, query, honest, &p.stamp),
+            Err(RejectReason::Stale)
+        );
+        assert!(matches!(
+            verify(200, 5, lie_query, lie, &p.stamp),
+            Err(RejectReason::BadProof(_))
+        ));
+    }
+
+    #[test]
+    fn proof_pipeline_accepts_true_answers_and_kills_lies() {
+        let p = proven();
+        // Point read; the lie is a corrupted row under the honest proof.
+        let get = Query::GetRow {
+            table: "t".into(),
+            key: 7,
+        };
+        let (result, _) = sdr_store::execute(&p.db, &get).unwrap();
+        let proof = p.db.prove_row("t", 7).unwrap();
+        let lie = QueryResult::Rows(vec![(7, Document::new().with("v", 666i64))]);
+        assert_proven_table(
+            &p,
+            &get,
+            ProvenAnswer::Result(&result, &proof),
+            &get,
+            ProvenAnswer::Result(&lie, &proof),
+        );
+    }
+
+    #[test]
+    fn range_scan_pipeline_accepts_complete_answers_and_kills_omissions() {
+        let p = proven();
+        let scan = Query::ScanRange {
+            table: "t".into(),
+            start: 12,
+            end: 25,
+        };
+        let (result, _) = sdr_store::execute(&p.db, &scan).unwrap();
+        let proof = p.db.prove_scan("t", 12, 25).unwrap();
+        // The lie omits a row from the middle of the scan — range proofs
+        // prove completeness, not just membership.
+        let QueryResult::Rows(rows) = &result else {
+            panic!("rows")
+        };
+        let mut omitted = rows.clone();
+        omitted.remove(5);
+        let lie = QueryResult::Rows(omitted);
+        assert_proven_table(
+            &p,
+            &scan,
+            ProvenAnswer::Result(&result, &proof),
+            &scan,
+            ProvenAnswer::Result(&lie, &proof),
+        );
+    }
+
+    #[test]
+    fn stream_header_pipeline_checks_path_stamp_and_fold() {
+        let p = proven();
+        let len = p.contents.len() as u64;
+        let stream = Query::ReadFileRange {
+            path: "/big".into(),
+            offset: 0,
+            len,
+        };
+        let proof = p.db.prove_stream("/big", 0, len);
+        // The lie is the honest header offered for another path.
+        let other_path = Query::ReadFileRange {
+            path: "/other".into(),
+            offset: 0,
+            len: 8,
+        };
+        assert_proven_table(
+            &p,
+            &stream,
+            ProvenAnswer::Header(&proof),
+            &other_path,
+            ProvenAnswer::Header(&proof),
+        );
 
         // After the header, chunks verify one by one against the slice.
-        let slice = stream_proof.slice.as_ref().unwrap();
+        let slice = proof.slice.as_ref().unwrap();
         let mut off = 0usize;
         for (i, e) in slice.entries.iter().enumerate() {
-            stream_proof
-                .verify_chunk(i, &contents.as_bytes()[off..off + e.len as usize])
+            proof
+                .verify_chunk(i, &p.contents.as_bytes()[off..off + e.len as usize])
                 .unwrap();
             off += e.len as usize;
         }
