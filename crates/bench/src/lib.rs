@@ -1,14 +1,16 @@
-//! Shared harness for the experiment binaries.
+//! Experiment harness behind the `run` binary.
 //!
-//! Every binary under `src/bin/` follows the same shape: parse the
-//! shared CLI ([`BenchCli`]), fetch its [`ScenarioSpec`] from the
-//! registry, run it through the scenario [`Runner`], attach derived
-//! metrics, and emit — a human table ([`print_report_table`]) or the
-//! report's JSON (`--json`).  This library holds the CLI, the table
-//! renderer, and small formatting helpers.
+//! [`experiments::EXPERIMENTS`] is the table of reproduced claims and
+//! studies.  Every entry goes through the same shape: fetch its
+//! [`ScenarioSpec`] from the registry, apply the shared CLI
+//! ([`BenchCli`]), run it, attach derived metrics, and emit — a human
+//! table ([`print_report_table`]) or the report's JSON (`--json`).  The
+//! crate root holds the CLI, the table renderer, and formatting helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod experiments;
 
 use sdr_core::scenario::{RunReport, ScenarioSpec};
 use sdr_sim::SimDuration;
@@ -22,18 +24,18 @@ pub enum SeedArg {
     List(Vec<u64>),
 }
 
-/// The CLI surface every experiment binary shares.
+/// The CLI of the `run` binary.
 ///
+/// * a positional scenario name, or `all` for the whole table.
 /// * `--json` — emit the [`RunReport`] as JSON instead of text tables.
 /// * `--seeds a,b,c` — replace the spec's seed list (comma-separated);
 ///   a single integer `--seeds N` instead derives `N` seeds from the
 ///   spec's base seed.
 /// * `--duration SECS` — override the spec's virtual run length.
-///
-/// The `QUICKSTART_SIM_SECS` environment variable acts as a default
-/// `--duration` (CI uses it to shrink every run); an explicit flag wins.
 #[derive(Clone, Debug, Default)]
 pub struct BenchCli {
+    /// The experiment to run (`all` for every one).
+    pub scenario: Option<String>,
     /// Emit JSON instead of text.
     pub json: bool,
     /// Seed override.
@@ -69,21 +71,13 @@ impl BenchCli {
                     cli.duration = Some(SimDuration::from_micros((secs * 1e6) as u64));
                 }
                 "--help" | "-h" => {
-                    println!(
-                        "usage: [--json] [--seeds N | --seeds a,b,c] [--duration SECS]\n\
-                         env: QUICKSTART_SIM_SECS caps the duration when --duration is absent"
-                    );
+                    println!("{USAGE}");
                     std::process::exit(0);
                 }
+                other if !other.starts_with('-') && cli.scenario.is_none() => {
+                    cli.scenario = Some(other.to_string());
+                }
                 other => usage(&format!("unknown argument `{other}`")),
-            }
-        }
-        if cli.duration.is_none() {
-            if let Some(secs) = std::env::var("QUICKSTART_SIM_SECS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-            {
-                cli.duration = Some(SimDuration::from_secs(secs));
             }
         }
         cli
@@ -105,16 +99,9 @@ impl BenchCli {
             spec.checkpoints.retain(|c| c.as_micros() <= d.as_micros());
         }
     }
-
-    /// Emits the report: JSON on `--json`, otherwise the given renderer.
-    pub fn emit(&self, report: &RunReport, render_text: impl FnOnce(&RunReport)) {
-        if self.json {
-            println!("{}", report.to_json_string());
-        } else {
-            render_text(report);
-        }
-    }
 }
+
+const USAGE: &str = "usage: run <scenario|all> [--json] [--seeds N | --seeds a,b,c] [--duration SECS]";
 
 fn parse_seeds(v: &str) -> SeedArg {
     if v.contains(',') {
@@ -137,8 +124,9 @@ fn parse_seeds(v: &str) -> SeedArg {
     }
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\nusage: [--json] [--seeds N | --seeds a,b,c] [--duration SECS]");
+/// Prints an error and the usage line, then exits with status 2.
+pub fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
     std::process::exit(2)
 }
 
@@ -285,33 +273,24 @@ pub fn f(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
-/// Formats microseconds as milliseconds.
-pub fn ms(us: u64) -> String {
-    format!("{:.1}", us as f64 / 1000.0)
-}
-
-/// Prints a one-line experiment note (keeps binary output self-describing).
-pub fn note(text: &str) {
-    println!("  note: {text}");
-}
-
-/// Fetches a registered scenario or aborts with a clear message.
-pub fn must_lookup(name: &str) -> ScenarioSpec {
-    sdr_core::scenario::registry::lookup(name)
-        .unwrap_or_else(|| panic!("scenario `{name}` is not registered"))
+/// Formats a one-line experiment note (keeps the output self-describing).
+pub fn note(text: &str) -> String {
+    format!("  note: {text}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdr_core::scenario::registry;
 
     #[test]
     fn cli_parses_flags() {
         let cli = BenchCli::from_args(
-            ["--json", "--seeds", "7,8", "--duration", "2.5"]
+            ["e1_detection", "--json", "--seeds", "7,8", "--duration", "2.5"]
                 .iter()
                 .map(|s| s.to_string()),
         );
+        assert_eq!(cli.scenario.as_deref(), Some("e1_detection"));
         assert!(cli.json);
         assert_eq!(cli.seeds, Some(SeedArg::List(vec![7, 8])));
         assert_eq!(cli.duration, Some(SimDuration::from_micros(2_500_000)));
@@ -320,7 +299,7 @@ mod tests {
     #[test]
     fn seed_count_expands_from_spec_base() {
         let cli = BenchCli::from_args(["--seeds", "3"].iter().map(|s| s.to_string()));
-        let mut spec = must_lookup("quickstart");
+        let mut spec = registry::lookup("quickstart").expect("registered");
         cli.apply(&mut spec);
         assert_eq!(spec.seeds.len(), 3);
         assert_eq!(spec.seeds[0], spec.config.seed);
@@ -332,7 +311,7 @@ mod tests {
             duration: Some(SimDuration::from_secs(10)),
             ..BenchCli::default()
         };
-        let mut spec = must_lookup("e12_failover");
+        let mut spec = registry::lookup("e12_failover").expect("registered");
         assert!(!spec.checkpoints.is_empty());
         cli.apply(&mut spec);
         assert!(spec.checkpoints.is_empty());

@@ -1,33 +1,55 @@
-//! Registry completeness: every experiment binary must resolve to a
-//! registered scenario, so `lookup`-by-bin-name never rots as bins are
-//! added or renamed.
+//! Registry completeness: every entry of the experiment table must
+//! resolve to a registered, valid scenario, and every registered
+//! scenario must be either a table entry or one the examples or the
+//! library run on their own.
 
-use sdr_core::scenario::registry;
+use sdr_bench::experiments::{find, EXPERIMENTS};
+use sdr_bench::{BenchCli, SeedArg};
+use sdr_core::scenario::{registry, RunReport};
+use sdr_sim::SimDuration;
 
-/// Walks `src/bin/` and checks each `e*` binary's name resolves.
+/// Registered scenarios no table entry runs: the examples' own, and the
+/// studies driven from the library or its tests.
+const OUTSIDE_THE_TABLE: [&str; 7] = [
+    "quickstart",
+    "byzantine_storm",
+    "master_failover",
+    "cdn_catalog",
+    "medical_db",
+    "large_catalog",
+    "proof_vs_pledge",
+];
+
 #[test]
-fn every_experiment_bin_name_resolves() {
-    let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    let mut checked = 0usize;
-    for entry in std::fs::read_dir(&bin_dir).expect("src/bin exists") {
-        let path = entry.expect("dir entry").path();
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        if path.extension().and_then(|e| e.to_str()) != Some("rs") || !stem.starts_with('e') {
-            continue;
-        }
-        // Guard against non-experiment bins that happen to start with 'e'.
-        if !stem[1..].starts_with(|c: char| c.is_ascii_digit()) {
-            continue;
-        }
-        assert!(
-            registry::lookup(stem).is_some(),
-            "experiment binary `{stem}` has no registered scenario"
-        );
-        checked += 1;
+fn every_experiment_entry_resolves() {
+    for exp in EXPERIMENTS {
+        let spec = registry::lookup(exp.name)
+            .unwrap_or_else(|| panic!("table entry `{}` has no registered scenario", exp.name));
+        spec.validate().unwrap_or_else(|e| panic!("{}: {e}", exp.name));
     }
-    assert!(checked >= 12, "expected at least 12 e* binaries, saw {checked}");
+    for name in registry::names() {
+        assert!(
+            find(name).is_some() || OUTSIDE_THE_TABLE.contains(&name),
+            "registered scenario `{name}` is neither a table entry nor listed as run elsewhere"
+        );
+    }
+}
+
+/// The cheapest entry, run in-process through the same function the
+/// `run` binary uses, emits JSON that parses back to the same bytes.
+#[test]
+fn cheapest_entry_report_round_trips() {
+    let exp = find("e7_auditor").expect("table entry");
+    let cli = BenchCli {
+        seeds: Some(SeedArg::Count(1)),
+        duration: Some(SimDuration::from_secs(3)),
+        ..BenchCli::default()
+    };
+    let outcome = exp.run(&cli).expect("entry runs");
+    let back = RunReport::from_json_str(&outcome.json).expect("report parses");
+    assert_eq!(back.to_json_string(), outcome.json);
+    assert_eq!(outcome.report.to_json_string(), outcome.json);
+    assert!(outcome.report.cells.iter().all(|c| c.metric("peak_backlog").is_some()));
 }
 
 /// The registry's own invariants: names are unique and every spec

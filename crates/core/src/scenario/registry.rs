@@ -1,9 +1,9 @@
-//! Named scenarios: every experiment bin and example, by name.
+//! Named scenarios: every experiment and example, by name.
 //!
 //! The registry is the workspace's scenario catalogue.  `lookup("e1_detection")`
-//! returns the exact spec the `e1_detection` binary runs; experiments
-//! fetch, optionally tweak (CLI seed/duration overrides), run, and
-//! render.  Keeping the catalogue in `sdr-core` lets tests, examples,
+//! returns the exact spec `sdr-bench`'s `run e1_detection` runs;
+//! experiments fetch, optionally tweak (CLI seed/duration overrides),
+//! run, and render.  Keeping the catalogue in `sdr-core` lets tests, examples,
 //! and the bench harness share one source of truth.
 
 use super::spec::{BehaviorSpec, CrashSpec, LinkSpec, NetworkSpec, ScenarioSpec};

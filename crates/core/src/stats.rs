@@ -366,6 +366,13 @@ impl SystemStats {
         }
     }
 
+    /// Mean utilisation of the serving masters: every master but the
+    /// last, which is the auditor.
+    pub fn serving_master_utilisation(&self) -> f64 {
+        let serving = &self.master_utilisation[..self.master_utilisation.len() - 1];
+        serving.iter().sum::<f64>() / serving.len() as f64
+    }
+
     /// Total misbehaviour discoveries.
     pub fn discoveries(&self) -> u64 {
         self.discovery_immediate + self.discovery_delayed

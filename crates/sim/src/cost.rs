@@ -7,7 +7,7 @@
 //! machine-independent and deterministic.  Default constants were
 //! calibrated against the `sdr-crypto`/`sdr-store` criterion benches and
 //! rounded; the *ratios* are what matter.  To check them against this
-//! machine, the `e11_crypto` binary in `sdr-bench` times the real
+//! machine, `run e11_crypto` in `sdr-bench` times the real
 //! primitives against the model's ratios, and the benchmark under
 //! `perfbench/` reports modeled over measured host time per operation as
 //! its `model_ratio.*` metrics.

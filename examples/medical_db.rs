@@ -28,9 +28,7 @@ fn main() {
     for cell in &report.cells {
         let sf = cell.coord("sensitive fraction").unwrap_or(0.0);
         let stats = &cell.runs[0].stats;
-        let nm = stats.master_utilisation.len();
-        let trusted_cpu =
-            stats.master_utilisation[..nm - 1].iter().sum::<f64>() / (nm - 1) as f64 * 100.0;
+        let trusted_cpu = stats.serving_master_utilisation() * 100.0;
         println!(
             "{sf:>20.2} {:>16} {:>15} {:>15} {trusted_cpu:>18.2}",
             stats.reads_sensitive, stats.reads_accepted, stats.wrong_accepted
