@@ -520,3 +520,31 @@ pub static EXPERIMENTS: &[Experiment] = &[
         None,
     ),
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdr_sim::SimDuration;
+
+    /// Every `Col::Field` names a row of `SystemStats::numeric_fields`;
+    /// `CellReport::mean` prints any other name as a silent zero.
+    #[test]
+    fn every_field_column_names_a_statistic() {
+        let mut spec = registry::lookup("quickstart").expect("registered");
+        spec.duration = SimDuration::from_secs(1);
+        spec.seeds = vec![1];
+        let report = Runner::new(spec).run().expect("run");
+        let fields = report.cells[0].runs[0].stats.numeric_fields();
+        for exp in EXPERIMENTS {
+            for col in exp.columns {
+                if let Col::Field { field, .. } = col {
+                    assert!(
+                        fields.iter().any(|(name, _)| name == field),
+                        "{}: column field `{field}` is not a statistic",
+                        exp.name
+                    );
+                }
+            }
+        }
+    }
+}

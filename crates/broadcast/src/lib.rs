@@ -1,11 +1,11 @@
 //! Reliable total-order broadcast for the trusted master set.
 //!
-//! The paper assumes (Section 3): "masters [are] fully connected to each
+//! The paper assumes (Section 3): "masters \[are\] fully connected to each
 //! other through secure communication links, and implement a reliable,
 //! total-ordering, broadcast protocol that can tolerate benign
 //! (non-malicious) server failures.  The broadcast protocol itself is
 //! outside the scope of this paper; a good choice could be for example the
-//! protocol described in [8]" — Kaashoek et al.'s sequencer-based protocol.
+//! protocol described in \[8\]" — Kaashoek et al.'s sequencer-based protocol.
 //! "Through the same broadcast protocol, the masters also elect one of them
 //! to function as an auditor."
 //!

@@ -6,7 +6,7 @@ use serde::{FromJson, ToJson};
 
 /// Which hash goes into pledge packets.
 ///
-/// The paper specifies SHA-1 [1]; SHA-256 is offered as the modern choice.
+/// The paper specifies SHA-1 \[1\]; SHA-256 is offered as the modern choice.
 /// Either way the protocol logic is identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, FromJson)]
 pub enum HashAlgo {

@@ -144,10 +144,9 @@ impl CellReport {
         let mut table: Vec<(String, Vec<f64>)> = Vec::new();
         for run in &self.runs {
             for (name, value) in run.stats.numeric_fields() {
-                if let Some(slot) = table.iter_mut().find(|(n, _)| n == name) {
-                    slot.1.push(value);
-                } else {
-                    table.push((name.to_string(), vec![value]));
+                match table.iter_mut().find(|(n, _)| *n == name) {
+                    Some(slot) => slot.1.push(value),
+                    None => table.push((name, vec![value])),
                 }
             }
         }
@@ -209,23 +208,71 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{registry, Runner};
+    use sdr_sim::SimDuration;
+    use serde::json::{ToJson, Value};
 
+    /// The aggregates of a real (trimmed quickstart) run are exactly one
+    /// row per numeric JSON leaf of `SystemStats` plus the derived rows,
+    /// under unique names and with the struct's values.
     #[test]
     fn aggregates_cover_every_numeric_field() {
-        let stats: SystemStats =
-            json::from_str(&json::to_string(&blank_stats())).expect("round-trip");
-        let mut cell = CellReport::default();
-        cell.runs.push(RunRecord {
-            seed: 1,
-            world_seed: 1,
-            stats: stats.clone(),
-            checkpoints: Vec::new(),
-            series: Vec::new(),
-        });
-        cell.recompute_aggregates();
-        assert_eq!(cell.aggregates.len(), stats.numeric_fields().len());
-        assert!(cell.agg("reads_issued").is_some());
-        assert!(cell.agg("read_latency_p99").is_some());
+        let mut spec = registry::lookup("quickstart").expect("registered");
+        spec.duration = SimDuration::from_secs(3);
+        spec.seeds = vec![1];
+        let report = Runner::new(spec).run().expect("run");
+        let cell = &report.cells[0];
+        let stats = &cell.runs[0].stats;
+
+        // Aggregation merges rows of the same name, so uniqueness is
+        // checked on the rows themselves.
+        let mut names: Vec<String> = stats.numeric_fields().into_iter().map(|(n, _)| n).collect();
+        let rows = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), rows, "numeric_fields names repeat");
+
+        let Value::Object(json_fields) = stats.to_json() else {
+            panic!("stats serialise to an object");
+        };
+        let mut leaves = Vec::new();
+        for (name, value) in json_fields.iter() {
+            match value {
+                Value::Object(members) => leaves.extend(
+                    members
+                        .iter()
+                        .filter(|(_, v)| v.as_f64().is_some())
+                        .map(|(m, _)| format!("{name}_{m}")),
+                ),
+                Value::Array(_) => {}
+                v => {
+                    assert!(v.as_f64().is_some(), "{name} is not numeric");
+                    leaves.push(name.to_string());
+                }
+            }
+        }
+        let derived = [
+            "wrong_accept_rate",
+            "master_util_mean",
+            "slave_util_mean",
+            "chunk_dedup_ratio",
+            "range_proof_bytes",
+            "msg_sharing_ratio",
+            "proof_cache_hit_rate",
+            "stamp_cache_hit_rate",
+        ];
+        for name in leaves.iter().map(String::as_str).chain(derived) {
+            assert!(cell.agg(name).is_some(), "{name} has no aggregate");
+        }
+        assert_eq!(cell.aggregates.len(), leaves.len() + derived.len());
+        assert_eq!(cell.aggregates.len(), rows);
+
+        assert!(stats.read_latency.p99 > 0, "the run served no reads");
+        assert_eq!(cell.mean("read_latency_p99"), stats.read_latency.p99 as f64);
+        assert_eq!(cell.mean("read_latency_mean"), stats.read_latency.mean);
+        assert_eq!(cell.mean("reads_issued"), stats.reads_issued as f64);
+        assert_eq!(cell.mean("range_proof_bytes"), stats.range_proof_bytes.mean);
+        assert_eq!(cell.mean("wrong_accept_rate"), stats.wrong_accept_rate());
     }
 
     #[test]
@@ -237,54 +284,5 @@ mod tests {
         cell.push_annotation("g", "a");
         cell.push_annotation("g", "b");
         assert_eq!(cell.annotation("g"), Some("b"));
-    }
-
-    fn blank_stats() -> SystemStats {
-        // Decode a fully-zero stats object from its own JSON shape: the
-        // derive requires every field, so build from an empty system is
-        // avoided by reusing serialisation of Default-like content.
-        let text = r#"{
-            "reads_issued":3,"reads_accepted":2,"reads_failed":0,
-            "rejected_stale":0,"rejected_hash":0,"read_retries":0,
-            "reads_sensitive":0,
-            "proof_reads_issued":1,"proof_reads_accepted":1,
-            "proof_reads_rejected":0,"proof_fallbacks":0,
-            "proof_unsupported":0,"proof_retries":0,
-            "stream_reads_issued":0,"stream_reads_accepted":0,
-            "stream_chunks_verified":0,"stream_chunk_rejects":0,
-            "range_proof_bytes":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "range_rows_verified":0,
-            "range_scans_scattered":0,"range_stitch_rejects":0,
-            "chunks_stored":0,"chunks_deduped":0,
-            "chunk_logical_bytes":0,"chunk_physical_bytes":0,
-            "proof_bytes":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "proof_depth":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "proof_latency":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "lies_told":1,"wrong_accepted":0,
-            "dc_sent":0,"dc_mismatch":0,"dc_throttled":0,
-            "discovery_immediate":0,"discovery_delayed":0,"exclusions":0,
-            "reassignments":0,"audit_submitted":0,"audit_checked":0,
-            "audit_cache_hits":0,"audit_mismatch":0,"audit_skipped":0,
-            "writes_committed":0,"writes_denied":0,
-            "writes_per_round":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "read_latency":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "write_latency":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "audit_lag":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "audit_backlog":0,
-            "churn_joins":0,"churn_leaves":0,
-            "sim_events":0,"sim_queue_peak":0,"sim_queue_live":0,
-            "sim_queue_slots":0,"sim_timers_cancelled":0,
-            "sim_msg_bytes_logical":0,"sim_msg_bytes_resident":0,
-            "snapshot_nodes_owned":0,"snapshot_nodes_shared":0,
-            "master_utilisation":[0.5],"slave_utilisation":[0.25],
-            "per_client":[],
-            "writes_committed_per_shard":[0],"dir_lookups_per_shard":[0],
-            "proof_cache_hits":0,"proof_cache_misses":0,
-            "proof_cache_evictions":0,"proof_cache_invalidations":0,
-            "proof_cache_bytes":0,
-            "stamp_cache_hits":0,"stamp_cache_misses":0,
-            "cert_cache_hits":0,"cert_cache_misses":0
-        }"#;
-        json::from_str(text).expect("stats literal")
     }
 }

@@ -3,6 +3,7 @@
 use crate::client::ClientCounters;
 use crate::system::System;
 use sdr_sim::Summary;
+use serde::json::{ToJson, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Aggregated statistics for one run.
@@ -250,6 +251,15 @@ impl SystemStats {
             .map(|n| sys.world.utilisation(n))
             .collect();
 
+        // One elected auditor per shard: the final backlog is their sum.
+        let audit_backlog = (0..sys.masters.len())
+            .filter_map(|rank| {
+                sys.with_master(rank, |m| {
+                    m.is_auditor().then(|| m.auditor_state().backlog())
+                })
+            })
+            .sum();
+
         let n_shards = sys.config.n_shards;
         let queue_depth = sys.world.queue_depth();
         let sim_events = sys.world.events_processed();
@@ -299,10 +309,7 @@ impl SystemStats {
             read_latency: m.summary("read.latency_us"),
             write_latency: m.summary("write.latency_us"),
             audit_lag: m.summary("audit.lag_hist_us"),
-            audit_backlog: {
-                // Final backlog from the elected auditor.
-                0 // Filled below after the metrics borrow ends.
-            },
+            audit_backlog,
             snapshot_nodes_owned: snapshot_nodes.owned as u64,
             snapshot_nodes_shared: snapshot_nodes.shared as u64,
             master_utilisation,
@@ -341,19 +348,6 @@ impl SystemStats {
             cert_cache_hits: m.counter("client.cert_cache_hit"),
             cert_cache_misses: m.counter("client.cert_cache_miss"),
         }
-        .fill_auditor(sys)
-    }
-
-    fn fill_auditor(mut self, sys: &mut System) -> Self {
-        // One elected auditor per shard: the backlog is their sum.
-        for rank in 0..sys.masters.len() {
-            let (is_auditor, backlog) =
-                sys.with_master(rank, |m| (m.is_auditor(), m.auditor_state().backlog()));
-            if is_auditor {
-                self.audit_backlog += backlog;
-            }
-        }
-        self
     }
 
     /// Fraction of accepted reads that were wrong (the headline
@@ -421,11 +415,27 @@ impl SystemStats {
         }
     }
 
-    /// Every scalar field (plus a few derived rates), flattened to
-    /// `(name, value)` pairs.  This is what the scenario runner's
-    /// per-cell mean/min/max aggregation runs over, so adding a counter
-    /// here makes it reportable everywhere.
-    pub fn numeric_fields(&self) -> Vec<(&'static str, f64)> {
+    /// Every numeric statistic as `(name, value)`, read off this
+    /// struct's own JSON: each number field in struct order as `field`,
+    /// each number member of an object field (a [`Summary`]) as
+    /// `field_member`, arrays skipped; then the derived rows below.
+    /// The scenario runner's per-cell mean/min/max aggregation runs over
+    /// this, so a field added to the struct and to [`collect`](Self::collect)
+    /// is reportable everywhere.
+    pub fn numeric_fields(&self) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        if let Value::Object(fields) = self.to_json() {
+            for (name, value) in fields.iter() {
+                match value {
+                    Value::Object(members) => out.extend(
+                        members
+                            .iter()
+                            .filter_map(|(m, v)| Some((format!("{name}_{m}"), v.as_f64()?))),
+                    ),
+                    v => out.extend(v.as_f64().map(|x| (name.to_string(), x))),
+                }
+            }
+        }
         let mean = |xs: &[f64]| {
             if xs.is_empty() {
                 0.0
@@ -433,197 +443,35 @@ impl SystemStats {
                 xs.iter().sum::<f64>() / xs.len() as f64
             }
         };
-        let mut out: Vec<(&'static str, f64)> = vec![
-            ("reads_issued", self.reads_issued as f64),
-            ("reads_accepted", self.reads_accepted as f64),
-            ("reads_failed", self.reads_failed as f64),
-            ("rejected_stale", self.rejected_stale as f64),
-            ("rejected_hash", self.rejected_hash as f64),
-            ("read_retries", self.read_retries as f64),
-            ("reads_sensitive", self.reads_sensitive as f64),
-            ("proof_reads_issued", self.proof_reads_issued as f64),
-            ("proof_reads_accepted", self.proof_reads_accepted as f64),
-            ("proof_reads_rejected", self.proof_reads_rejected as f64),
-            ("proof_fallbacks", self.proof_fallbacks as f64),
-            ("proof_unsupported", self.proof_unsupported as f64),
-            ("proof_retries", self.proof_retries as f64),
-            ("snapshot_nodes_owned", self.snapshot_nodes_owned as f64),
-            ("snapshot_nodes_shared", self.snapshot_nodes_shared as f64),
-            ("lies_told", self.lies_told as f64),
-            ("wrong_accepted", self.wrong_accepted as f64),
+        let derived = [
             ("wrong_accept_rate", self.wrong_accept_rate()),
-            ("dc_sent", self.dc_sent as f64),
-            ("dc_mismatch", self.dc_mismatch as f64),
-            ("dc_throttled", self.dc_throttled as f64),
-            ("discovery_immediate", self.discovery_immediate as f64),
-            ("discovery_delayed", self.discovery_delayed as f64),
-            ("exclusions", self.exclusions as f64),
-            ("reassignments", self.reassignments as f64),
-            ("audit_submitted", self.audit_submitted as f64),
-            ("audit_checked", self.audit_checked as f64),
-            ("audit_cache_hits", self.audit_cache_hits as f64),
-            ("audit_mismatch", self.audit_mismatch as f64),
-            ("audit_skipped", self.audit_skipped as f64),
-            ("writes_committed", self.writes_committed as f64),
-            ("writes_denied", self.writes_denied as f64),
-            ("writes_per_round_mean", self.writes_per_round.mean),
-            ("writes_per_round_max", self.writes_per_round.max as f64),
-            ("audit_backlog", self.audit_backlog as f64),
             ("master_util_mean", mean(&self.master_utilisation)),
             ("slave_util_mean", mean(&self.slave_utilisation)),
-            ("chunks_stored", self.chunks_stored as f64),
-            ("chunks_deduped", self.chunks_deduped as f64),
-            ("chunk_logical_bytes", self.chunk_logical_bytes as f64),
-            ("chunk_physical_bytes", self.chunk_physical_bytes as f64),
             ("chunk_dedup_ratio", self.chunk_dedup_ratio()),
-            ("stream_reads_issued", self.stream_reads_issued as f64),
-            ("stream_reads_accepted", self.stream_reads_accepted as f64),
-            ("stream_chunks_verified", self.stream_chunks_verified as f64),
-            ("stream_chunk_rejects", self.stream_chunk_rejects as f64),
+            // Legacy bare name for the range-proof size mean.
             ("range_proof_bytes", self.range_proof_bytes.mean),
-            ("range_rows_verified", self.range_rows_verified as f64),
-            ("range_scans_scattered", self.range_scans_scattered as f64),
-            ("range_stitch_rejects", self.range_stitch_rejects as f64),
-            ("churn_joins", self.churn_joins as f64),
-            ("churn_leaves", self.churn_leaves as f64),
-            ("sim_events", self.sim_events as f64),
-            ("sim_queue_peak", self.sim_queue_peak as f64),
-            ("sim_queue_live", self.sim_queue_live as f64),
-            ("sim_queue_slots", self.sim_queue_slots as f64),
-            ("sim_timers_cancelled", self.sim_timers_cancelled as f64),
-            ("sim_msg_bytes_logical", self.sim_msg_bytes_logical as f64),
-            ("sim_msg_bytes_resident", self.sim_msg_bytes_resident as f64),
             ("msg_sharing_ratio", self.msg_sharing_ratio()),
-            ("proof_cache_hits", self.proof_cache_hits as f64),
-            ("proof_cache_misses", self.proof_cache_misses as f64),
-            ("proof_cache_evictions", self.proof_cache_evictions as f64),
-            (
-                "proof_cache_invalidations",
-                self.proof_cache_invalidations as f64,
-            ),
-            ("proof_cache_bytes", self.proof_cache_bytes as f64),
             ("proof_cache_hit_rate", self.proof_cache_hit_rate()),
-            ("stamp_cache_hits", self.stamp_cache_hits as f64),
-            ("stamp_cache_misses", self.stamp_cache_misses as f64),
             ("stamp_cache_hit_rate", self.stamp_cache_hit_rate()),
-            ("cert_cache_hits", self.cert_cache_hits as f64),
-            ("cert_cache_misses", self.cert_cache_misses as f64),
         ];
-        let s = &self.read_latency;
-        out.extend([
-            ("read_latency_mean", s.mean),
-            ("read_latency_p50", s.p50 as f64),
-            ("read_latency_p90", s.p90 as f64),
-            ("read_latency_p99", s.p99 as f64),
-        ]);
-        let s = &self.write_latency;
-        out.extend([
-            ("write_latency_mean", s.mean),
-            ("write_latency_p50", s.p50 as f64),
-            ("write_latency_p90", s.p90 as f64),
-            ("write_latency_p99", s.p99 as f64),
-        ]);
-        let s = &self.audit_lag;
-        out.extend([
-            ("audit_lag_mean", s.mean),
-            ("audit_lag_p50", s.p50 as f64),
-            ("audit_lag_p90", s.p90 as f64),
-            ("audit_lag_p99", s.p99 as f64),
-        ]);
-        let s = &self.proof_latency;
-        out.extend([
-            ("proof_latency_mean", s.mean),
-            ("proof_latency_p50", s.p50 as f64),
-            ("proof_latency_p99", s.p99 as f64),
-            ("proof_bytes_mean", self.proof_bytes.mean),
-            ("proof_depth_mean", self.proof_depth.mean),
-        ]);
+        out.extend(derived.map(|(name, v)| (name.to_string(), v)));
         out
     }
 
-    /// Compact human-readable summary (used by examples).
+    /// Compact human-readable summary (used by examples and test
+    /// messages): every non-zero [`numeric_fields`](Self::numeric_fields)
+    /// row as `name=value`, six to a line.
     pub fn render(&self) -> String {
-        format!(
-            "reads: issued={} accepted={} failed={} stale_rejects={} sensitive={}\n\
-             proofs: issued={} accepted={} rejected={} retries={} fallbacks={} \
-             unsupported={} bytes_p50={} depth_p50={}\n\
-             streams: issued={} accepted={} chunks_verified={} chunk_rejects={}\n\
-             ranges: rows_verified={} proof_bytes_p50={} scattered={} stitch_rejects={}\n\
-             chunks: stored={} deduped={} logical={}B physical={}B dedup_ratio={:.3}\n\
-             writes: committed={} denied={} per_round_mean={:.2}\n\
-             lies: told={} wrong_accepted={} ({:.4}%)\n\
-             double-check: sent={} mismatch={} throttled={}\n\
-             discovery: immediate={} delayed={} exclusions={} reassignments={}\n\
-             audit: submitted={} checked={} cache_hits={} mismatch={} backlog={}\n\
-             caches: proof hit={} miss={} (rate={:.3}) evict={} inval={} bytes={} \
-             stamp hit={} miss={} cert hit={} miss={}\n\
-             sim: events={} queue_peak={} slots={} cancelled={} \
-             msg_logical={}B msg_resident={}B sharing={:.2}x\n\
-             read latency: p50={}us p90={}us p99={}us",
-            self.reads_issued,
-            self.reads_accepted,
-            self.reads_failed,
-            self.rejected_stale,
-            self.reads_sensitive,
-            self.proof_reads_issued,
-            self.proof_reads_accepted,
-            self.proof_reads_rejected,
-            self.proof_retries,
-            self.proof_fallbacks,
-            self.proof_unsupported,
-            self.proof_bytes.p50,
-            self.proof_depth.p50,
-            self.stream_reads_issued,
-            self.stream_reads_accepted,
-            self.stream_chunks_verified,
-            self.stream_chunk_rejects,
-            self.range_rows_verified,
-            self.range_proof_bytes.p50,
-            self.range_scans_scattered,
-            self.range_stitch_rejects,
-            self.chunks_stored,
-            self.chunks_deduped,
-            self.chunk_logical_bytes,
-            self.chunk_physical_bytes,
-            self.chunk_dedup_ratio(),
-            self.writes_committed,
-            self.writes_denied,
-            self.writes_per_round.mean,
-            self.lies_told,
-            self.wrong_accepted,
-            100.0 * self.wrong_accept_rate(),
-            self.dc_sent,
-            self.dc_mismatch,
-            self.dc_throttled,
-            self.discovery_immediate,
-            self.discovery_delayed,
-            self.exclusions,
-            self.reassignments,
-            self.audit_submitted,
-            self.audit_checked,
-            self.audit_cache_hits,
-            self.audit_mismatch,
-            self.audit_backlog,
-            self.proof_cache_hits,
-            self.proof_cache_misses,
-            self.proof_cache_hit_rate(),
-            self.proof_cache_evictions,
-            self.proof_cache_invalidations,
-            self.proof_cache_bytes,
-            self.stamp_cache_hits,
-            self.stamp_cache_misses,
-            self.cert_cache_hits,
-            self.cert_cache_misses,
-            self.sim_events,
-            self.sim_queue_peak,
-            self.sim_queue_slots,
-            self.sim_timers_cancelled,
-            self.sim_msg_bytes_logical,
-            self.sim_msg_bytes_resident,
-            self.msg_sharing_ratio(),
-            self.read_latency.p50,
-            self.read_latency.p90,
-            self.read_latency.p99,
-        )
+        let items: Vec<String> = self
+            .numeric_fields()
+            .into_iter()
+            .filter(|&(_, v)| v != 0.0)
+            .map(|(name, v)| format!("{name}={v}"))
+            .collect();
+        items
+            .chunks(6)
+            .map(|line| line.join(" "))
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 }

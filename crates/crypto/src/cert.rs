@@ -51,7 +51,7 @@ pub struct CertificateBody {
     /// Issuance timestamp (simulation microseconds).
     pub issued_at_us: u64,
     /// Identifier of the content this certificate belongs to (hash of the
-    /// content public key, as in self-certifying names [5]).
+    /// content public key, as in self-certifying names \[5\]).
     pub content_id: Hash256,
     /// Shard of the content space this certificate is scoped to: the
     /// subject may only act (sequence writes, stamp digests, serve
@@ -145,7 +145,7 @@ impl Certificate {
 }
 
 /// Derives a content identifier from the content public key, following the
-/// self-certifying-name idea the paper cites ([5]).
+/// self-certifying-name idea the paper cites (\[5\]).
 pub fn content_id_for_key(content_key: &PublicKey) -> Hash256 {
     Sha256::digest_parts(&[b"sdr/content-id", &content_key.encode()])
 }

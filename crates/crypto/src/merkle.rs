@@ -4,7 +4,7 @@
 //!
 //! * [`MerkleTree`] — the classic balanced tree over a leaf *list*; the
 //!   Merkle signature scheme (`crate::mss`) certifies one-time keys with
-//!   it, exactly the "hash-tree authentication [12]" the paper's
+//!   it, exactly the "hash-tree authentication \[12\]" the paper's
 //!   related-work section describes.
 //! * **Treap paths** ([`TreapStep`], [`verify_path`]) — authentication
 //!   paths through the search-tree-shaped digests the persistent store

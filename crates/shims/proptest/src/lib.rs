@@ -2,7 +2,7 @@
 //!
 //! This workspace builds with no crates.io access, so the real `proptest`
 //! cannot be fetched.  The shim implements the subset of the API the test
-//! suites use — the [`Strategy`] trait with `prop_map`/`boxed`, `any`,
+//! suites use — the [`Strategy`](strategy::Strategy) trait with `prop_map`/`boxed`, `any`,
 //! `Just`, range and string-pattern strategies, tuples,
 //! [`collection::vec`], [`sample::Index`], `prop_oneof!`, the `proptest!`
 //! test macro and the `prop_assert*` assertions — with deterministic

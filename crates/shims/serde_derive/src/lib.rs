@@ -5,7 +5,7 @@
 //! * `Serialize`/`Deserialize` — no-op derives backing the marker traits
 //!   in the sibling `serde` shim (annotation compatibility with the real
 //!   crate; nothing in the tree serialises through them).
-//! * `ToJson`/`FromJson` — *real* derives for the shim's [`serde::json`]
+//! * `ToJson`/`FromJson` — *real* derives for the shim's `serde::json`
 //!   layer.  They support named-field structs and enums whose variants
 //!   are unit or named-field (the shapes the workspace uses); tuple
 //!   structs, tuple variants, and generics raise a compile error asking

@@ -1,4 +1,4 @@
-//! Metrics: counters, histograms with percentiles, gauges, time series.
+//! Metrics: counters, histograms with percentiles, time series.
 //!
 //! Everything an experiment reports flows through a [`Metrics`] registry
 //! owned by the world; the benchmark harness reads it after `run_until`.
@@ -118,7 +118,6 @@ impl Histogram {
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     series: BTreeMap<String, Vec<(SimTime, f64)>>,
 }
@@ -142,16 +141,6 @@ impl Metrics {
     /// Reads a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets a gauge to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Reads a gauge (0.0 when absent).
-    pub fn gauge(&self, name: &str) -> f64 {
-        self.gauges.get(name).copied().unwrap_or(0.0)
     }
 
     /// Records an observation into the named histogram.
@@ -188,24 +177,11 @@ impl Metrics {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// All counter names, sorted (deterministic reporting order).
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
-    /// All histogram names, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
     /// Merges another registry into this one (counters add, histograms
-    /// concatenate, gauges overwrite, series concatenate).
+    /// concatenate, series concatenate).
     pub fn merge(&mut self, other: &Metrics) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
         }
         for (k, h) in &other.histograms {
             let mine = self.histograms.entry(k.clone()).or_default();
@@ -292,18 +268,8 @@ mod tests {
         a.add("x", 1);
         b.add("x", 2);
         b.observe("h", 9);
-        b.set_gauge("g", 3.5);
         a.merge(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.summary("h").count, 1);
-        assert_eq!(a.gauge("g"), 3.5);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let mut m = Metrics::new();
-        m.set_gauge("load", 0.3);
-        m.set_gauge("load", 0.9);
-        assert_eq!(m.gauge("load"), 0.9);
     }
 }

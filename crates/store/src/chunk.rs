@@ -178,7 +178,7 @@ impl FileManifest {
             .sum()
     }
 
-    /// The Merkle root over the chunk-entry leaves (see [`entry_leaf`]).
+    /// The Merkle root over the chunk-entry leaves (see `entry_leaf`).
     ///
     /// This is what [`FileManifest::content_encode`] commits to, so a
     /// contiguous *slice* of the chunk table can be authenticated with a

@@ -190,7 +190,7 @@ fn unsupported_proof_shapes_are_refused_and_surfaced() {
     let fields = stats.numeric_fields();
     let (_, v) = fields
         .iter()
-        .find(|(name, _)| *name == "proof_unsupported")
+        .find(|(name, _)| name == "proof_unsupported")
         .expect("field exported");
     assert_eq!(*v, 2.0);
 }
